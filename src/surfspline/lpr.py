@@ -18,18 +18,26 @@ into sums over centers: replacing phi(x - alpha) by
 ``sum_xi a(alpha, xi) phi(x - xi)`` commits an error that is uniformly small
 and decays at rate (1 + dist/h)^-(d+1), which is the engine behind the
 convergence rates of the approximation scheme.
+
+All anchors of one call share the nominal radius and its growth sequence,
+so the reproductions are built a radius step at a time: one KD-tree query
+for every anchor still open, then one batched minimum-norm solve per group
+of anchors with the same support size.  A row's numbers depend only on its
+own support, never on which other anchors share its batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import comb, factorial
 
 import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .errors import NormingFailureError
-from .polyspace import boundary_op_at_point, monomial_exponents
+from .polyspace import monomial_exponents
 
 __all__ = [
     "GAMMA_DEFAULT",
@@ -62,6 +70,13 @@ COND_CAP_DEFAULT = 1e4
 #: unbounded growth would trade a conditioning warning for lost locality
 GROWTH_SPAN_DEFAULT = 4.0
 
+#: ceiling on B * P * K, the entries of one batched (anchors x monomials x
+#: support) Vandermonde; supports run from tens to over a thousand centers
+#: on oversampled sets, so a whole radius step padded to its widest support
+#: would not fit in memory, while 2^20 entries (8 MB a float array) keeps
+#: the per-batch overhead small next to the solve
+_ENTRY_BUDGET = 1 << 20
+
 
 @dataclass(frozen=True)
 class LocalReproduction:
@@ -79,104 +94,226 @@ class LocalReproduction:
         return float(np.dot(self.coefficients, np.asarray(values)[self.indices]))
 
 
-def _monomial_rhs(order: int, j: int, normal, radius: float) -> np.ndarray:
+def _monomial_rhs(order: int, j: int, normals, radius: float) -> np.ndarray:
     """Value of op_j at the (scaled) anchor on each monomial of Pi_order.
 
     In anchor-centered coordinates z = (x - alpha)/R the functional op_j
-    picks up a factor R^-j; for j = 0 this is evaluation at the origin.
+    picks up a factor R^-j.  At the origin op_j sees only the degree-j
+    monomials: with l = j // 2, Lap^l x^a y^b there is C(l, a/2) a! b! for
+    even a, b, and the x (y) derivative of Lap^l picks the odd a (odd b)
+    terms the same way.  Odd j dots these with the unit normals, given as
+    (..., 2); the result has shape normals.shape[:-1] + (P,), or (P,) for
+    even j.
     """
     exps = monomial_exponents(order)
-    rhs = np.empty(len(exps))
-    origin = np.zeros(2)
-    for col, (i, k) in enumerate(exps):
-        if j == 0:
-            rhs[col] = 1.0 if (i, k) == (0, 0) else 0.0
+    l = j // 2
+    tx = np.zeros(len(exps))
+    ty = np.zeros(len(exps))
+    for col, (a, b) in enumerate(exps):
+        if a + b != j:
+            continue
+        value = float(comb(l, a // 2) * factorial(a) * factorial(b))
+        if j % 2 == 0:
+            if a % 2 == 0:
+                tx[col] = value
+        elif a % 2:
+            tx[col] = value
         else:
-            rhs[col] = boundary_op_at_point(j, {(i, k): 1.0}, origin, normal)
-    return rhs * radius ** (-j)
+            ty[col] = value
+    if j % 2 == 0:
+        return tx * radius ** (-j)
+    nrm = np.asarray(normals, dtype=float)
+    return (nrm[..., :1] * tx + nrm[..., 1:] * ty) * radius ** (-j)
 
 
-def _try_weights(local_pts: np.ndarray, anchor, radius: float, order: int,
-                 rhs: np.ndarray) -> tuple[np.ndarray, float, float] | None:
-    """Min-norm coefficients on the given support, or None if infeasible.
+def _min_norm_weights(pts, anchors, radius, exps, rhs):
+    """Minimum-norm exactness weights for a batch of equal-size supports.
 
-    Returns the weights, the worst constraint residual, and the condition
-    number of the scaled local Vandermonde; a near-singular Vandermonde can
-    satisfy the constraints exactly yet with a huge coefficient mass, so the
-    caller treats bad conditioning like an exactness failure.
+    ``pts`` is (B, K, 2) with K >= P = len(exps).  The scaled Vandermonde V
+    (P x K) is factored as V^T = Q R by Householder reflections; R has the
+    singular values of V, and those at or below ``eps * max(P, K) * s_max``
+    are cut as ``lstsq(rcond=None)`` cuts them.  With none cut, the weights
+    are w = Q R^-T rhs; the rare rank-deficient rows go through the
+    pseudo-inverse of R.  Returns the weights (B, K), the worst constraint
+    residual and the condition number of V per anchor; a near-singular
+    Vandermonde can satisfy the constraints exactly yet with a huge
+    coefficient mass, so the caller treats bad conditioning like an
+    exactness failure.
     """
-    exps = monomial_exponents(order)
-    if local_pts.shape[0] < len(exps):
-        return None
-    z = (local_pts - anchor) / radius
-    V = np.stack([z[:, 0] ** i * z[:, 1] ** k for (i, k) in exps], axis=0)
-    w, _, _, sv = np.linalg.lstsq(V, rhs, rcond=None)
-    resid = float(np.max(np.abs(V @ w - rhs)))
-    with np.errstate(divide="ignore"):
-        cond = float(sv[0] / sv[-1]) if sv.size else np.inf
+    P, K = len(exps), pts.shape[1]
+    z = (pts - anchors[:, None, :]) / radius
+    zx, zy = z[..., 0], z[..., 1]
+    px, py = [np.ones_like(zx)], [np.ones_like(zy)]
+    for _ in range(max(i + k for i, k in exps)):
+        px.append(px[-1] * zx)
+        py.append(py[-1] * zy)
+    V = np.empty((z.shape[0], P, K))
+    for col, (i, k) in enumerate(exps):
+        np.multiply(px[i], py[k], out=V[:, col])
+    # LAPACK's raw output: row i of ``hh`` holds reflector i below its unit
+    # entry, and R sits in the upper triangle of its leading P columns
+    hh, tau = np.linalg.qr(np.swapaxes(V, 1, 2), mode="raw")
+    r = np.triu(np.swapaxes(hh[..., :P], 1, 2))
+    s = np.linalg.svd(r, compute_uv=False)
+    cutoff = np.finfo(float).eps * max(P, K) * s[:, :1]
+    cut = np.any(s <= cutoff, axis=1)
+    y = np.empty(rhs.shape)
+    full = ~cut
+    y[full] = np.linalg.solve(np.swapaxes(r[full], 1, 2), rhs[full][..., None])[..., 0]
+    if cut.any():
+        u, sc, vh = np.linalg.svd(r[cut])
+        s_inv = np.divide(1.0, sc, out=np.zeros_like(sc), where=sc > cutoff[cut])
+        y[cut] = (u @ (s_inv[..., None] * (vh @ rhs[cut][..., None])))[..., 0]
+    # w = Q y = H_0 H_1 ... H_{P-1} [y; 0]
+    w = np.zeros((z.shape[0], K))
+    w[:, :P] = y
+    for i in reversed(range(P)):
+        tail = hh[:, i, i + 1:]
+        d = tau[:, i] * (w[:, i] + np.einsum("bk,bk->b", tail, w[:, i + 1:]))
+        w[:, i] -= d
+        w[:, i + 1:] -= d[:, None] * tail
+    resid = np.max(np.abs((V @ w[..., None])[..., 0] - rhs), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = s[:, 0] / s[:, -1]
     return w, resid, cond
 
 
-def _build(
-    functional_j: int,
-    normal,
-    anchor: np.ndarray,
-    centers: np.ndarray,
-    tree: cKDTree,
+def _reproduce(
+    j: int,
+    anchors: np.ndarray,
+    normals,
+    centers,
     h: float,
     order: int,
     *,
+    tree: cKDTree | None = None,
     gamma: float,
-    growth: float,
-    residual_tol: float,
-    cond_cap: float,
-    growth_span: float,
-    max_radius: float,
-) -> LocalReproduction:
-    anchor = np.asarray(anchor, dtype=float)
+    growth: float = 1.25,
+    residual_tol: float = 1e-10,
+    cond_cap: float = COND_CAP_DEFAULT,
+    growth_span: float = GROWTH_SPAN_DEFAULT,
+    max_radius: float | None = None,
+):
+    """Order-``order`` reproductions of op_j at every anchor.
+
+    Returns ``(A, stabilities, radii)``: the coefficients as a CSR matrix
+    (anchors x centers), and per-anchor l1 mass and support radius.
+    """
+    centers = np.asarray(centers, dtype=float)
+    if tree is None:
+        tree = cKDTree(centers)
+    if max_radius is None:
+        max_radius = 4.0 * float(np.max(np.linalg.norm(centers, axis=1))) + 10 * h
+    exps = monomial_exponents(order)
+    P = len(exps)
+    n = anchors.shape[0]
+
+    stab = np.empty(n)
+    radii = np.empty(n)
+    accepted = np.zeros(n, dtype=bool)
+    worst_resid = np.full(n, np.inf)
+    # exact but ill-conditioned candidates: the lightest one per anchor is
+    # kept while the ball keeps growing; its entries are tagged by step
+    best_stab = np.full(n, np.inf)
+    best_radius = np.empty(n)
+    best_step = np.full(n, -1)
+    empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
+    entries = [empty]
+    candidates = []
+
     # order 0 shrinks the nominal ball to a point; start from an exact-match
     # probe so an anchor that is itself a center reproduces as a Kronecker delta
     radius = gamma * order**2 * h if order else 1e-9 * h
     # conditioning-driven growth must not be allowed to destroy locality:
     # past a few-fold enlargement, accept the lightest exact candidate instead
     span_radius = min(max_radius, growth_span * max(radius, 0.25 * h))
-    best = None
-    worst_resid = np.inf
-    while radius <= max_radius:
-        if best is not None and radius > span_radius:
-            return best
-        idx = np.asarray(tree.query_ball_point(anchor, radius), dtype=int)
-        rhs = _monomial_rhs(order, functional_j, normal, radius)
-        got = _try_weights(centers[idx], anchor, radius, order, rhs)
-        if got is not None:
-            w, resid, cond = got
-            if resid < residual_tol:
-                rep = LocalReproduction(
-                    anchor=anchor,
-                    indices=idx,
-                    coefficients=w,
-                    order=order,
-                    radius=radius,
-                    stability=float(np.sum(np.abs(w))),
+    open_ = np.arange(n)
+    step = 0
+    while open_.size and radius <= max_radius:
+        if radius > span_radius:
+            open_ = open_[best_step[open_] < 0]
+            if not open_.size:
+                break
+        lists = tree.query_ball_point(anchors[open_], radius, return_sorted=False)
+        counts = np.fromiter(map(len, lists), dtype=np.intp, count=open_.size)
+        flat = np.fromiter(
+            chain.from_iterable(lists), dtype=np.intp, count=int(counts.sum())
+        )
+        del lists  # a Python int per neighbour: the largest object of a step
+        starts = np.cumsum(counts) - counts
+        by_size = np.argsort(counts, kind="stable")
+        edges = np.flatnonzero(np.diff(counts[by_size])) + 1
+        done = np.zeros(open_.size, dtype=bool)
+        for group in np.split(by_size, edges):
+            K = int(counts[group[0]])
+            if K < P:
+                continue
+            rows_per_batch = max(1, _ENTRY_BUDGET // (P * K))
+            for lo in range(0, group.size, rows_per_batch):
+                sel = group[lo:lo + rows_per_batch]
+                ids = open_[sel]
+                idx = flat[starts[sel, None] + np.arange(K)]
+                rhs = _monomial_rhs(
+                    order, j, None if normals is None else normals[ids], radius
                 )
-                if cond <= cond_cap:
-                    return rep
-                # exact but ill-conditioned: keep the lightest such
-                # candidate while the ball keeps growing
-                if best is None or rep.stability < best.stability:
-                    best = rep
-            worst_resid = min(worst_resid, resid)
+                w, resid, cond = _min_norm_weights(
+                    centers[idx], anchors[ids], radius, exps,
+                    np.broadcast_to(rhs, (ids.size, P)),
+                )
+                mass = np.sum(np.abs(w), axis=1)
+                exact = resid < residual_tol
+                ok = exact & (cond <= cond_cap)
+                better = exact & ~ok & (mass < best_stab[ids])
+                worst_resid[ids] = np.fmin(worst_resid[ids], resid)
+                done[sel] = ok
+                accepted[ids[ok]] = True
+                stab[ids[ok]] = mass[ok]
+                radii[ids[ok]] = radius
+                entries.append((np.repeat(ids[ok], K), idx[ok].ravel(), w[ok].ravel()))
+                if better.any():
+                    best_stab[ids[better]] = mass[better]
+                    best_radius[ids[better]] = radius
+                    best_step[ids[better]] = step
+                    candidates.append((
+                        np.repeat(ids[better], K), idx[better].ravel(),
+                        w[better].ravel(), step,
+                    ))
+        open_ = open_[~done]
         radius = radius * growth if order else max(radius * growth, 0.25 * h)
-    if best is not None:
-        return best
-    detail = (
-        f" (best residual {worst_resid:.2e})"
-        if np.isfinite(worst_resid)
-        else " (never enough points)"
-    )
-    raise NormingFailureError(
-        f"no order-{order} reproduction at anchor {anchor.tolist()} within "
-        f"radius {max_radius:.3g}{detail}"
+        step += 1
+
+    failed = np.flatnonzero(~accepted & (best_step < 0))
+    if failed.size:
+        q = failed[0]
+        detail = (
+            f" (best residual {worst_resid[q]:.2e})"
+            if np.isfinite(worst_resid[q])
+            else " (never enough points)"
+        )
+        raise NormingFailureError(
+            f"no order-{order} reproduction at anchor {anchors[q].tolist()} "
+            f"within radius {max_radius:.3g}{detail}"
+        )
+    fallback = ~accepted
+    stab[fallback] = best_stab[fallback]
+    radii[fallback] = best_radius[fallback]
+    for rows, cols, vals, st in candidates:
+        keep = fallback[rows] & (best_step[rows] == st)
+        entries.append((rows[keep], cols[keep], vals[keep]))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    A = sparse.csr_matrix((vals, (rows, cols)), shape=(n, centers.shape[0]))
+    return A, stab, radii
+
+
+def _single(built, anchor, order: int) -> LocalReproduction:
+    A, stab, radii = built
+    return LocalReproduction(
+        anchor=anchor,
+        indices=A.indices,
+        coefficients=A.data,
+        order=order,
+        radius=float(radii[0]),
+        stability=float(stab[0]),
     )
 
 
@@ -195,16 +332,13 @@ def build_interior_lpr(
     max_radius: float | None = None,
 ) -> LocalReproduction:
     """Point-evaluation reproduction of order M at an interior anchor."""
-    centers = np.asarray(centers, dtype=float)
-    if tree is None:
-        tree = cKDTree(centers)
-    if max_radius is None:
-        max_radius = 4.0 * float(np.max(np.linalg.norm(centers, axis=1))) + 10 * h
-    return _build(
-        0, None, alpha, centers, tree, h, M,
-        gamma=gamma, growth=growth, residual_tol=residual_tol,
+    alpha = np.asarray(alpha, dtype=float)
+    built = _reproduce(
+        0, alpha[None], None, centers, h, M,
+        tree=tree, gamma=gamma, growth=growth, residual_tol=residual_tol,
         cond_cap=cond_cap, growth_span=growth_span, max_radius=max_radius,
     )
+    return _single(built, alpha, M)
 
 
 def build_boundary_lpr(
@@ -227,33 +361,14 @@ def build_boundary_lpr(
     anchor; odd j requires the outward normal there."""
     if j % 2 and normal is None:
         raise ValueError("odd boundary operators require the anchor normal")
-    centers = np.asarray(centers, dtype=float)
-    if tree is None:
-        tree = cKDTree(centers)
-    if max_radius is None:
-        max_radius = 4.0 * float(np.max(np.linalg.norm(centers, axis=1))) + 10 * h_local
-    return _build(
-        j, normal, alpha, centers, tree, h_local, M,
-        gamma=gamma, growth=growth, residual_tol=residual_tol,
+    alpha = np.asarray(alpha, dtype=float)
+    normals = None if normal is None else np.asarray(normal, dtype=float)[None]
+    built = _reproduce(
+        j, alpha[None], normals, centers, h_local, M,
+        tree=tree, gamma=gamma, growth=growth, residual_tol=residual_tol,
         cond_cap=cond_cap, growth_span=growth_span, max_radius=max_radius,
     )
-
-
-def _matrix_from_builds(builds, n_anchors: int, n_centers: int):
-    rows, cols, vals = [], [], []
-    stabilities = np.empty(n_anchors)
-    radii = np.empty(n_anchors)
-    for q, rep in enumerate(builds):
-        rows.append(np.full(rep.indices.size, q))
-        cols.append(rep.indices)
-        vals.append(rep.coefficients)
-        stabilities[q] = rep.stability
-        radii[q] = rep.radius
-    A = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_anchors, n_centers),
-    )
-    return A, stabilities, radii
+    return _single(built, alpha, M)
 
 
 def interior_reproduction_matrix(
@@ -263,29 +378,18 @@ def interior_reproduction_matrix(
 
     Returns ``(A, stabilities, radii)`` with ``A[q, xi] = a(anchor_q, xi)``;
     the rows of A turn center-value vectors into anchor values of any
-    polynomial in Pi_M exactly.
+    polynomial in Pi_M exactly.  Zero anchors give a (0, n_centers) matrix.
     """
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    centers = np.asarray(centers, dtype=float)
-    tree = cKDTree(centers)
-    builds = (
-        build_interior_lpr(a, centers, h, M, tree=tree, **kwargs) for a in anchors
-    )
-    return _matrix_from_builds(builds, anchors.shape[0], centers.shape[0])
+    anchors = np.asarray(anchors, dtype=float).reshape(-1, 2)
+    kwargs.setdefault("gamma", GAMMA_DEFAULT)
+    return _reproduce(0, anchors, None, centers, h, M, **kwargs)
 
 
 def boundary_reproduction_matrix(
     j: int, anchors, normals, centers, h_local: float, M: int, **kwargs
 ) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
     """Stack boundary op_j reproductions at many boundary anchors."""
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    centers = np.asarray(centers, dtype=float)
-    tree = cKDTree(centers)
-    builds = (
-        build_boundary_lpr(
-            j, a, centers, h_local, M, normal=nrm, tree=tree, **kwargs
-        )
-        for a, nrm in zip(anchors, normals)
-    )
-    return _matrix_from_builds(builds, anchors.shape[0], centers.shape[0])
+    anchors = np.asarray(anchors, dtype=float).reshape(-1, 2)
+    normals = np.asarray(normals, dtype=float).reshape(-1, 2)
+    kwargs.setdefault("gamma", GAMMA_BOUNDARY_DEFAULT)
+    return _reproduce(j, anchors, normals, centers, h_local, M, **kwargs)

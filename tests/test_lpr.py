@@ -2,17 +2,30 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.spatial import cKDTree
 
+from surfspline import lpr
 from surfspline.errors import NormingFailureError
-from surfspline.geometry import generate_centers
+from surfspline.geometry import BoundaryGrid, generate_centers, oversample_boundary
 from surfspline.lpr import (
+    COND_CAP_DEFAULT,
+    GAMMA_BOUNDARY_DEFAULT,
+    GAMMA_DEFAULT,
     GROWTH_SPAN_DEFAULT,
+    _monomial_rhs,
+    boundary_reproduction_matrix,
     build_boundary_lpr,
     build_interior_lpr,
     interior_reproduction_matrix,
 )
-from surfspline.polyspace import PolyBasis, boundary_op_values
+from surfspline.polyspace import (
+    PolyBasis,
+    boundary_op_at_point,
+    boundary_op_values,
+    monomial_exponents,
+)
+from surfspline.scheme import interior_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +153,239 @@ def test_reproduction_matrix_stacks_rows(centers05, rng):
     np.testing.assert_allclose(
         A[3].toarray().ravel()[single.indices], single.coefficients, atol=1e-14
     )
+
+
+# ---------------------------------------------------------------------------
+# the batched build against the per-anchor loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _loop_build(j, normal, anchor, centers, tree, h, order, *, gamma,
+                growth=1.25, residual_tol=1e-10, cond_cap=COND_CAP_DEFAULT,
+                growth_span=GROWTH_SPAN_DEFAULT, max_radius):
+    """One anchor at a time: one ball query and one lstsq per radius step."""
+    exps = monomial_exponents(order)
+    radius = gamma * order**2 * h if order else 1e-9 * h
+    span_radius = min(max_radius, growth_span * max(radius, 0.25 * h))
+    best, worst_resid = None, np.inf
+    while radius <= max_radius:
+        if best is not None and radius > span_radius:
+            return best
+        idx = np.asarray(tree.query_ball_point(anchor, radius), dtype=int)
+        rhs = np.array([
+            boundary_op_at_point(j, {e: 1.0}, np.zeros(2), normal) for e in exps
+        ]) * radius ** (-j)
+        if idx.size >= len(exps):
+            z = (centers[idx] - anchor) / radius
+            V = np.stack([z[:, 0] ** i * z[:, 1] ** k for (i, k) in exps], axis=0)
+            w, _, _, sv = np.linalg.lstsq(V, rhs, rcond=None)
+            resid = float(np.max(np.abs(V @ w - rhs)))
+            with np.errstate(divide="ignore"):
+                cond = float(sv[0] / sv[-1])
+            if resid < residual_tol:
+                rep = (idx, w, radius, float(np.sum(np.abs(w))))
+                if cond <= cond_cap:
+                    return rep
+                if best is None or rep[3] < best[3]:
+                    best = rep
+            worst_resid = min(worst_resid, resid)
+        radius = radius * growth if order else max(radius * growth, 0.25 * h)
+    if best is not None:
+        return best
+    detail = (f" (best residual {worst_resid:.2e})" if np.isfinite(worst_resid)
+              else " (never enough points)")
+    raise NormingFailureError(
+        f"no order-{order} reproduction at anchor {anchor.tolist()} within "
+        f"radius {max_radius:.3g}{detail}"
+    )
+
+
+def _loop_matrix(j, anchors, normals, centers, h, M, **kwargs):
+    tree = cKDTree(centers)
+    kwargs.setdefault(
+        "max_radius", 4.0 * float(np.max(np.linalg.norm(centers, axis=1))) + 10 * h
+    )
+    builds = [
+        _loop_build(j, nrm, a, centers, tree, h, M, **kwargs)
+        for a, nrm in zip(anchors, normals)
+    ]
+    rows = np.concatenate([np.full(b[0].size, q) for q, b in enumerate(builds)])
+    A = sparse.csr_matrix(
+        (np.concatenate([b[1] for b in builds]),
+         (rows, np.concatenate([b[0] for b in builds]))),
+        shape=(len(anchors), len(centers)),
+    )
+    return A, np.array([b[3] for b in builds]), np.array([b[2] for b in builds])
+
+
+def _assert_matches_loop(batched, loop):
+    A, stab, radii = batched
+    A0, stab0, radii0 = loop
+    np.testing.assert_array_equal(A.indptr, A0.indptr)
+    np.testing.assert_array_equal(A.indices, A0.indices)
+    # op_j weights scale like R^-j, so entries are compared on the scale of
+    # their row's l1 mass (rows of interior reproductions have mass >= 1)
+    row_err = np.abs(A - A0).max(axis=1).toarray().ravel()
+    assert np.all(row_err <= 1e-12 * np.maximum(stab0, 1.0))
+    np.testing.assert_array_equal(radii, radii0)
+    np.testing.assert_allclose(stab, stab0, rtol=1e-12, atol=0)
+
+
+@pytest.fixture(scope="module")
+def centers10(disk):
+    return generate_centers(disk, 0.1, seed=0)
+
+
+def test_batched_interior_matches_loop(disk, centers10):
+    # quadrature nodes near the rim need radius growth; a few grown rows
+    # must be in the set for the growth path to be compared at all
+    nodes = interior_quadrature(disk, 12).nodes
+    X = centers10.points
+    out = interior_reproduction_matrix(nodes, X, 0.1, 4)
+    nominal = GAMMA_DEFAULT * 16 * 0.1
+    assert np.count_nonzero(out[2] > nominal) >= 20
+    _assert_matches_loop(
+        out, _loop_matrix(0, nodes, [None] * len(nodes), X, 0.1, 4,
+                          gamma=GAMMA_DEFAULT)
+    )
+
+
+def test_batched_ill_conditioned_path_matches_loop(centers05, rng):
+    # cond_cap = 1 makes every exact candidate ill-conditioned, so each row
+    # is the lightest candidate within the growth span.  The anchors sit
+    # where every growth step adds centers: on an unchanged support two
+    # steps give the same weights, and which radius the loop reports would
+    # then be decided by rounding
+    anchors = rng.uniform(-0.15, 0.15, size=(12, 2))
+    X = centers05.points
+    out = interior_reproduction_matrix(anchors, X, 0.05, 4, cond_cap=1.0)
+    nominal = GAMMA_DEFAULT * 16 * 0.05
+    assert np.any(out[2] > nominal)
+    _assert_matches_loop(
+        out, _loop_matrix(0, anchors, [None] * 12, X, 0.05, 4,
+                          gamma=GAMMA_DEFAULT, cond_cap=1.0)
+    )
+
+
+def test_batched_order_zero_matches_loop(disk, centers10):
+    # anchors that are centers reproduce as Kronecker deltas at the probe
+    # radius; the others grow to the nearest center
+    X = centers10.points
+    nodes = interior_quadrature(disk, 8).nodes
+    anchors = np.vstack([nodes, X[::7]])
+    out = interior_reproduction_matrix(anchors, X, 0.1, 0)
+    deltas = out[0][len(nodes):]
+    assert np.all(np.diff(deltas.indptr) == 1) and np.all(deltas.data == 1.0)
+    _assert_matches_loop(
+        out, _loop_matrix(0, anchors, [None] * len(anchors), X, 0.1, 0,
+                          gamma=GAMMA_DEFAULT)
+    )
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_batched_boundary_matches_loop(disk, centers10, j):
+    bg = BoundaryGrid.build(disk, 96)
+    X = centers10.points
+    _assert_matches_loop(
+        boundary_reproduction_matrix(j, bg.points, bg.normals, X, 0.1, 4),
+        _loop_matrix(j, bg.points, bg.normals, X, 0.1, 4,
+                     gamma=GAMMA_BOUNDARY_DEFAULT),
+    )
+
+
+@pytest.fixture(scope="module")
+def oversampled10(disk, centers10):
+    return oversample_boundary(disk, centers10, 0.1, 2.0, 2).points
+
+
+def test_batched_oversampled_interior_matches_loop(disk, oversampled10, monkeypatch):
+    # nu = 2 boundary layers give interior supports from tens to hundreds of
+    # centers; a small entry budget splits the wider support groups over
+    # several batches as well
+    monkeypatch.setattr(lpr, "_ENTRY_BUDGET", 15 * 60 * 4)
+    nodes = interior_quadrature(disk, 12).nodes
+    out = interior_reproduction_matrix(nodes, oversampled10, 0.1, 4)
+    sizes = np.diff(out[0].indptr)
+    assert sizes.max() >= 3 * sizes.min()
+    _assert_matches_loop(
+        out, _loop_matrix(0, nodes, [None] * len(nodes), oversampled10, 0.1, 4,
+                          gamma=GAMMA_DEFAULT)
+    )
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_batched_oversampled_boundary_matches_loop(disk, oversampled10, j):
+    bg = BoundaryGrid.build(disk, 240)
+    _assert_matches_loop(
+        boundary_reproduction_matrix(
+            j, bg.points, bg.normals, oversampled10, 0.01, 4, gamma=GAMMA_DEFAULT
+        ),
+        _loop_matrix(j, bg.points, bg.normals, oversampled10, 0.01, 4,
+                     gamma=GAMMA_DEFAULT),
+    )
+
+
+def test_batched_norming_failure_matches_loop(centers05):
+    anchors = np.array([[0.3, 0.1], [0.0, 0.0]])
+    X = centers05.points
+    with pytest.raises(NormingFailureError) as batched:
+        interior_reproduction_matrix(anchors, X, 0.05, 4, max_radius=0.02)
+    with pytest.raises(NormingFailureError) as loop:
+        _loop_matrix(0, anchors, [None] * 2, X, 0.05, 4,
+                     gamma=GAMMA_DEFAULT, max_radius=0.02)
+    assert str(batched.value) == str(loop.value)
+
+
+def test_rank_deficient_support_matches_lstsq(rng):
+    # collinear centers leave the Vandermonde rank-deficient: the singular
+    # values lstsq would cut must be cut, giving its least-squares weights
+    exps = monomial_exponents(2)
+    t = rng.uniform(-1.0, 1.0, size=(3, 20))
+    pts = np.stack([t, 0.5 * t + 0.1], axis=-1)
+    pts[2, :5] += rng.uniform(-0.3, 0.3, size=(5, 2))  # one full-rank row
+    anchors = np.zeros((3, 2))
+    rhs = np.tile(_monomial_rhs(2, 0, None, 0.8), (3, 1))
+    w, resid, cond = lpr._min_norm_weights(pts, anchors, 0.8, exps, rhs)
+    for b in range(3):
+        z = pts[b] / 0.8
+        V = np.stack([z[:, 0] ** i * z[:, 1] ** k for (i, k) in exps], axis=0)
+        w0, _, rank, sv = np.linalg.lstsq(V, rhs[b], rcond=None)
+        assert (rank < len(exps)) == (b < 2)
+        np.testing.assert_allclose(w[b], w0, rtol=0, atol=1e-12)
+        assert resid[b] == pytest.approx(np.max(np.abs(V @ w0 - rhs[b])), abs=1e-12)
+        if b < 2:
+            assert cond[b] > 1e12
+        else:
+            assert cond[b] == pytest.approx(sv[0] / sv[-1], rel=1e-10)
+
+
+def test_monomial_rhs_closed_form(rng):
+    # the closed form must equal the symbolic operator bit for bit
+    origin = np.zeros(2)
+    for j in range(4):
+        for order in range(5):
+            for _ in range(3):
+                t = rng.uniform(0, 2 * np.pi)
+                normal = np.array([np.cos(t), np.sin(t)])
+                radius = rng.uniform(0.05, 2.0)
+                expected = np.array([
+                    boundary_op_at_point(j, {e: 1.0}, origin, normal)
+                    for e in monomial_exponents(order)
+                ])
+                assert np.all(_monomial_rhs(order, j, normal, 1.0) == expected)
+                assert np.all(
+                    _monomial_rhs(order, j, normal, radius)
+                    == expected * radius ** (-j)
+                )
+
+
+def test_reproduction_matrices_with_no_anchors(centers05):
+    X = centers05.points
+    none = np.empty((0, 2))
+    for A, stab, radii in (
+        interior_reproduction_matrix(none, X, 0.05, 4),
+        boundary_reproduction_matrix(1, none, none, X, 0.05, 4),
+    ):
+        assert sparse.issparse(A) and A.format == "csr"
+        assert A.shape == (0, len(X))
+        assert stab.shape == radii.shape == (0,)
