@@ -24,7 +24,7 @@ direct LU solution with a step of iterative refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -99,9 +99,7 @@ class BoundarySystem:
         return vec[:N], vec[N:].reshape(self.params.m, self.grid.n)
 
 
-def assemble_boundary_system(
-    params: SplineParams, grid: BoundaryGrid, basis: PolyBasis | None = None
-) -> BoundarySystem:
+def assemble_boundary_system(params: SplineParams, grid: BoundaryGrid) -> BoundarySystem:
     """Build the bordered matrix [[0, (W P)^T], [P, L]].
 
     L stacks the m x m operator blocks op_k V_j; P holds op_k of the
@@ -110,8 +108,7 @@ def assemble_boundary_system(
     for every basis polynomial q.
     """
     m, n = params.m, grid.n
-    if basis is None:
-        basis = PolyBasis.for_spline_order(params.m)
+    basis = PolyBasis.for_spline_order(params.m)
     N = basis.dimension
     P_blocks = side_condition_matrix(basis, grid, m)  # (m, n, N)
     P = P_blocks.reshape(m * n, N)
@@ -152,23 +149,21 @@ class DirichletSolution:
     def poly_eval(self, points) -> np.ndarray:
         return self.basis.eval(np.atleast_2d(points)) @ self.poly_coeffs
 
-    def evaluate(self, points, **kwargs) -> np.ndarray:
+    def evaluate(self, points) -> np.ndarray:
         """u = p + sum_j V_j g_j at interior (or exterior) points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = self.poly_eval(pts)
         for j in range(self.params.m):
             out = out + layer_potential(
-                self.params, j, self.grid, self.densities[j], pts, **kwargs
+                self.params, j, self.grid, self.densities[j], pts
             )
         if np.asarray(points).ndim == 1:
             return float(out[0])
         return out
 
-    def boundary_trace(self, k: int, side: str = "inside", **kwargs):
+    def boundary_trace(self, k: int, side: str = "inside"):
         """One-sided nodal trace of op_k u, including the polynomial part."""
-        vals, est = one_sided_trace(
-            self.params, self.densities, self.grid, k, side, **kwargs
-        )
+        vals, est = one_sided_trace(self.params, self.densities, self.grid, k, side)
         from .polyspace import boundary_op_values
 
         vals = vals + boundary_op_values(
@@ -182,19 +177,16 @@ def solve_dirichlet(
     grid: BoundaryGrid,
     data,
     *,
-    basis: PolyBasis | None = None,
-    refine_steps: int = 1,
     residual_tol: float = 1e-8,
-    estimate_condition: bool = True,
 ) -> DirichletSolution:
     """Solve the Dirichlet problem with nodal data rows op_k f, k < m.
 
     ``data`` may be an (m, n) array of boundary values or a
     :class:`~surfspline.targets.TargetFunction`, in which case the rows are
     its traces on the grid.  The bordered system is LU-factored; the
-    solution is polished with ``refine_steps`` rounds of iterative
-    refinement and rejected if the relative residual stays above
-    ``residual_tol``.
+    solution is polished with one round of iterative refinement and
+    rejected if the relative residual stays above ``residual_tol``.  The
+    reciprocal condition number is estimated from the LU factors.
     """
     if isinstance(data, TargetFunction):
         data = data.boundary_data(grid)
@@ -202,7 +194,7 @@ def solve_dirichlet(
     m, n = params.m, grid.n
     if data.shape != (m, n):
         raise ValueError(f"boundary data must have shape {(m, n)}, got {data.shape}")
-    system = assemble_boundary_system(params, grid, basis)
+    system = assemble_boundary_system(params, grid)
     A = system.matrix
     N = system.n_poly
     rhs = np.concatenate([np.zeros(N), data.ravel()])
@@ -213,24 +205,20 @@ def solve_dirichlet(
     if not np.all(np.isfinite(lu)):
         raise SingularSystemError("boundary system factorization produced non-finite values")
     z = lu_solve((lu, piv), rhs)
-    for _ in range(refine_steps):
-        r = rhs - A @ z
-        z = z + lu_solve((lu, piv), r)
+    z = z + lu_solve((lu, piv), rhs - A @ z)
     scale = max(float(np.max(np.abs(rhs))), 1e-300)
     residual = float(np.max(np.abs(rhs - A @ z))) / scale
     if residual > residual_tol:
         raise ResidualToleranceError(
             f"boundary system residual {residual:.3e} exceeds {residual_tol:.1e}"
         )
-    rcond = np.nan
-    if estimate_condition:
-        gecon = get_lapack_funcs("gecon", (A,))
-        anorm = float(np.linalg.norm(A, 1))
-        rcond, info = gecon(lu, anorm, norm="1")
-        if info != 0 or not rcond > 0:
-            raise SingularSystemError(
-                f"condition estimate failed (info={info}, rcond={rcond})"
-            )
+    gecon = get_lapack_funcs("gecon", (A,))
+    anorm = float(np.linalg.norm(A, 1))
+    rcond, info = gecon(lu, anorm, norm="1")
+    if info != 0 or not rcond > 0:
+        raise SingularSystemError(
+            f"condition estimate failed (info={info}, rcond={rcond})"
+        )
     coeffs, dens = system.split(z)
     return DirichletSolution(
         params=params,
@@ -247,9 +235,6 @@ def compute_Nj(
     params: SplineParams,
     grid: BoundaryGrid,
     f: TargetFunction,
-    *,
-    trace_kwargs: dict | None = None,
-    **solve_kwargs,
 ) -> tuple[np.ndarray, DirichletSolution]:
     """Boundary source densities of the multilayer representation of ``f``.
 
@@ -266,13 +251,12 @@ def compute_Nj(
     the representation).
     """
     m = params.m
-    sol = solve_dirichlet(params, grid, f.boundary_data(grid), **solve_kwargs)
+    sol = solve_dirichlet(params, grid, f.boundary_data(grid))
     rows = np.empty((m, grid.n))
-    tk = trace_kwargs or {}
     for j in range(m):
         k = 2 * m - 1 - j
         lam_f = f.trace(k, grid.points, grid.normals)
-        lam_u, _ = sol.boundary_trace(k, "inside", **tk)
+        lam_u, _ = sol.boundary_trace(k, "inside")
         sign = -1.0 if j % 2 == 0 else 1.0
         rows[j] = sol.densities[j] + sign * (lam_f - lam_u)
     return rows, sol

@@ -49,8 +49,3 @@ class DensityUnreachableError(SurfsplineError):
 
 class NearBoundaryAccuracyWarning(UserWarning):
     """Potential evaluated closer to the boundary than the quadrature resolves."""
-
-
-class UnderResolvedDataWarning(UserWarning):
-    """Boundary data appears under-resolved on the given grid (large trailing
-    Fourier content)."""

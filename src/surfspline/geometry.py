@@ -16,8 +16,7 @@ higher convergence rate.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -101,10 +100,6 @@ class DomainCurve:
     def max_radius(self, samples: int = 2048) -> float:
         psi = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
         return float(np.max(self.polar_radius(psi)))
-
-    def min_radius(self, samples: int = 2048) -> float:
-        psi = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
-        return float(np.min(self.polar_radius(psi)))
 
     def diameter(self) -> float:
         return 2.0 * self.max_radius()
@@ -283,9 +278,6 @@ class BoundaryGrid:
             speed=speed,
             weights=2 * np.pi * speed / n,
         )
-
-    def refined(self, n_new: int) -> "BoundaryGrid":
-        return BoundaryGrid.build(self.curve, n_new)
 
     def integrate(self, values) -> float:
         return float(np.sum(self.weights * np.asarray(values)))
@@ -528,11 +520,6 @@ def _arclength_params(curve: DomainCurve, fractions: np.ndarray) -> np.ndarray:
     sp = curve.speed(td)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (sp[1:] + sp[:-1]) * np.diff(td))])
     return np.interp(cum[-1] * (np.asarray(fractions) % 1.0), cum, td)
-
-
-def _equal_arclength_params(curve: DomainCurve, n: int) -> np.ndarray:
-    """Parameters of n points equally spaced in arclength."""
-    return _arclength_params(curve, np.arange(n) / n)
 
 
 def oversample_boundary(

@@ -45,7 +45,7 @@ __all__ = [
     "phi_profile",
     "iterated_laplacian_profile",
     "phi",
-    "phi_points",
+    "phi_from_r2",
     "boundary_kernel",
     "boundary_pair_kernel",
 ]
@@ -82,11 +82,6 @@ class SplineParams:
     def kernel_power(self) -> int:
         """Exponent 2m - d of the radial power in ``phi``."""
         return 2 * self.m - self.d
-
-    @property
-    def poly_degree(self) -> int:
-        """Degree m - 1 of the polynomial tail attached to the kernel."""
-        return self.m - 1
 
 
 def fs_constant(m: int, d: int) -> float:
@@ -274,21 +269,27 @@ def phi(params: SplineParams, x) -> float:
     r = float(np.linalg.norm(a, axis=-1))
     if r < SINGULAR_TOL:
         raise SingularEvaluationError(f"phi evaluated at |x| = {r:.3e}")
-    return float(phi_profile(params).eval(np.asarray(r)))
+    return float(phi_from_r2(params, r * r))
 
-def phi_points(params: SplineParams, diffs) -> np.ndarray:
-    """Vectorized ``phi`` on an array of difference vectors.
 
-    Radii below the singular tolerance are filled with the continuous limit 0
-    (valid since 2m - d >= 1 in the surface-spline regime).
+def phi_from_r2(params: SplineParams, r2: np.ndarray) -> np.ndarray:
+    """Kernel values from squared distances, avoiding the square root.
+
+    For even ambient dimension the kernel is C r^(2m-d) log r, an integer
+    power of r^2 times half a log of r^2; zero distances map to the
+    continuous limit 0.  This is the workhorse for bulk evaluation where
+    r^2 comes straight out of a matrix product.
     """
-    a = _as_points(diffs, params.d)
-    r = np.linalg.norm(a, axis=-1)
-    out = np.zeros_like(r)
-    good = r > SINGULAR_TOL
-    if np.any(good):
-        out[good] = phi_profile(params).eval(r[good])
-    return out
+    if params.d % 2:
+        r = np.sqrt(r2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = fs_constant(params.m, params.d) * r ** (2 * params.m - params.d)
+        return out
+    p = params.m - params.d // 2
+    c = 0.5 * fs_constant(params.m, params.d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = c * r2**p * np.log(r2)
+    return np.where(r2 > 0.0, out, 0.0)
 
 
 def _direction_factors(x, n_x, alpha, n_alpha, r):

@@ -35,7 +35,6 @@ deviation from this relation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -56,6 +55,11 @@ __all__ = [
     "one_sided_trace",
     "jump_check",
 ]
+
+#: upsampling keeps n_f * (distance in parameter units) at least this large
+_MIN_RESOLVE = 34.0
+#: cap on the upsampled density grid
+_MAX_NODES = 16384
 
 
 @lru_cache(maxsize=32)
@@ -88,9 +92,7 @@ def trig_upsample(values: np.ndarray, n_new: int) -> np.ndarray:
     if n % 2 == 0 and spec.shape[-1] > 1:
         spec = spec.copy()
         spec[..., -1] *= 0.5  # split the Nyquist mode symmetrically
-        pad_width = n_new // 2 + 1 - spec.shape[-1]
-    else:
-        pad_width = n_new // 2 + 1 - spec.shape[-1]
+    pad_width = n_new // 2 + 1 - spec.shape[-1]
     pad_shape = spec.shape[:-1] + (pad_width,)
     spec = np.concatenate([spec, np.zeros(pad_shape, dtype=complex)], axis=-1)
     return np.fft.irfft(spec, n=n_new, axis=-1) * (n_new / n)
@@ -143,10 +145,10 @@ def nystrom_matrix(params: SplineParams, k: int, j: int, grid: BoundaryGrid) -> 
 # ---------------------------------------------------------------------------
 
 
-def _needed_factor(n: int, dist_param: np.ndarray, min_resolve: float, max_nodes: int):
-    """Power-of-two upsampling factors so that n_f * dist >= min_resolve."""
+def _needed_factor(n: int, dist_param: np.ndarray, max_nodes: int):
+    """Power-of-two upsampling factors so that n_f * dist >= _MIN_RESOLVE."""
     with np.errstate(divide="ignore"):
-        need = min_resolve / (n * np.maximum(dist_param, 1e-300))
+        need = _MIN_RESOLVE / (n * np.maximum(dist_param, 1e-300))
     factors = 2.0 ** np.ceil(np.log2(np.maximum(need, 1.0)))
     factors = np.minimum(factors, max(1, max_nodes // n))
     return factors.astype(int)
@@ -180,8 +182,7 @@ def layer_potential(
     density: np.ndarray,
     points,
     *,
-    min_resolve: float = 34.0,
-    max_nodes: int = 16384,
+    max_nodes: int = _MAX_NODES,
 ) -> np.ndarray:
     """Evaluate V_j density at off-boundary points.
 
@@ -194,8 +195,8 @@ def layer_potential(
     rho = np.atleast_1d(signed_distance(grid.curve, pts))
     speed_max = float(np.max(grid.speed))
     dist_param = np.abs(rho) / speed_max
-    factors = _needed_factor(grid.n, dist_param, min_resolve, max_nodes)
-    if np.any(grid.n * factors * dist_param < 0.5 * min_resolve):
+    factors = _needed_factor(grid.n, dist_param, max_nodes)
+    if np.any(grid.n * factors * dist_param < 0.5 * _MIN_RESOLVE):
         warnings.warn(
             "layer potential evaluated closer to the boundary than the "
             "quadrature resolves; values there may be inaccurate",
@@ -217,6 +218,26 @@ def layer_potential(
 # ---------------------------------------------------------------------------
 
 
+def _neville_limit(deltas: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Neville extrapolation of ``vals[r]``, sampled at offsets ``deltas[r]``,
+    to offset zero.
+
+    Returns the extrapolated values and the magnitude of the last correction
+    the table made to them (zero for a single offset).
+    """
+    n = len(deltas)
+    table = np.array(vals, dtype=float)
+    prev0 = table[0].copy()
+    est = np.zeros_like(prev0)
+    for lvl in range(1, n):
+        for i in range(n - lvl):
+            num = deltas[i] * table[i + 1] - deltas[i + lvl] * table[i]
+            table[i] = num / (deltas[i] - deltas[i + lvl])
+        est = np.abs(table[0] - prev0)
+        prev0 = table[0].copy()
+    return table[0], est
+
+
 def one_sided_trace(
     params: SplineParams,
     densities: np.ndarray,
@@ -225,23 +246,17 @@ def one_sided_trace(
     side: str,
     *,
     slots: tuple[int, ...] | None = None,
-    delta0: float | None = None,
-    ratio: float = 2.0,
-    rungs: int = 5,
-    upsample: int = 32,
-    max_nodes: int = 16384,
-    divergence_tol: float = 0.05,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Boundary limit of op_k applied to sum_s V_slots[s] densities[s].
 
     By default row s of ``densities`` charges the potential of order s (the
     multilayer arrangement uses orders ``0 .. m-1``); pass explicit ``slots``
-    for other combinations.  Evaluates along the normal-offset ladder
-    ``delta0 / ratio**r`` on the requested side and extrapolates
-    polynomially to offset zero.  Returns the extrapolated nodal values and
-    an error estimate (the magnitude of the last extrapolation correction).
-    Raises when the ladder fails to stabilize relative to the trace
-    magnitude.
+    for other combinations.  Evaluates along the normal-offset ladder of five
+    offsets ``5 * spacing / 2**r`` on the requested side, with the densities
+    upsampled 32-fold, and extrapolates polynomially to offset zero.  Returns
+    the extrapolated nodal values and an error estimate (the magnitude of the
+    last extrapolation correction).  Raises when the ladder fails to
+    stabilize relative to the trace magnitude.
     """
     if side not in ("inside", "outside"):
         raise ValueError("side must be 'inside' or 'outside'")
@@ -253,37 +268,26 @@ def one_sided_trace(
     if any(not 0 <= j <= 2 * params.m - 1 for j in slots):
         raise ValueError("potential orders must lie in 0 .. 2m-1")
     spacing = 2 * np.pi * float(np.max(grid.speed)) / grid.n
-    if delta0 is None:
-        delta0 = 5.0 * spacing
     sgn = -1.0 if side == "inside" else 1.0
-    n_f = min(grid.n * upsample, max_nodes)
+    n_f = min(grid.n * 32, _MAX_NODES)
     n_f = max(grid.n, (n_f // 2) * 2)
     fine = BoundaryGrid.build(grid.curve, n_f) if n_f != grid.n else grid
     jobs = [
         (k, j, trig_upsample(densities[s], n_f))
         for s, j in enumerate(slots)
     ]
-    deltas = np.array([delta0 / ratio**r for r in range(rungs)])
-    vals = np.empty((rungs, grid.n))
+    deltas = 5.0 * spacing / 2.0 ** np.arange(5)
+    vals = np.empty((len(deltas), grid.n))
     for r, d in enumerate(deltas):
         x_r = grid.points + sgn * d * grid.normals
         vals[r] = _potential_sum(params, jobs, fine, x_r, n_x=grid.normals)
-    # Neville extrapolation to delta -> 0, tracking the last correction
-    table = vals.copy()
-    prev0 = vals[0].copy()
-    est = np.zeros(grid.n)
-    for lvl in range(1, rungs):
-        for i in range(rungs - lvl):
-            num = deltas[i] * table[i + 1] - deltas[i + lvl] * table[i]
-            table[i] = num / (deltas[i] - deltas[i + lvl])
-        est = np.abs(table[0] - prev0)
-        prev0 = table[0].copy()
-    scale = max(float(np.max(np.abs(table[0]))), 1e-30)
-    if float(np.max(est)) > divergence_tol * max(scale, 1.0):
+    limit, est = _neville_limit(deltas, vals)
+    scale = max(float(np.max(np.abs(limit))), 1e-30)
+    if float(np.max(est)) > 0.05 * max(scale, 1.0):
         raise ExtrapolationDivergenceError(
             f"offset ladder did not stabilize: est {float(np.max(est)):.3e} vs scale {scale:.3e}"
         )
-    return table[0], est
+    return limit, est
 
 
 def jump_check(
@@ -291,7 +295,6 @@ def jump_check(
     j: int,
     density: np.ndarray,
     grid: BoundaryGrid,
-    **ladder_kwargs,
 ) -> float:
     """Relative nodal deviation from the jump relation of op_(2m-1-j) V_j.
 
@@ -304,7 +307,7 @@ def jump_check(
         raise ValueError("density must be a nodal vector")
     k = 2 * params.m - 1 - j
     dens = density[None, :]
-    inner, _ = one_sided_trace(params, dens, grid, k, "inside", slots=(j,), **ladder_kwargs)
-    outer, _ = one_sided_trace(params, dens, grid, k, "outside", slots=(j,), **ladder_kwargs)
+    inner, _ = one_sided_trace(params, dens, grid, k, "inside", slots=(j,))
+    outer, _ = one_sided_trace(params, dens, grid, k, "outside", slots=(j,))
     expected = (-1.0) ** (j + 1) * density
     return float(np.max(np.abs((inner - outer) - expected)) / np.max(np.abs(density)))

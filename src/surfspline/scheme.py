@@ -17,17 +17,15 @@ convergence experiments.
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirichlet import DirichletSolution, compute_Nj
+from .dirichlet import compute_Nj
 from .errors import StarShapeError
 from .geometry import BoundaryGrid, CenterSet, DomainCurve, signed_distance
-from .kernel import SplineParams, boundary_kernel, fs_constant
-from .layerpot import layer_potential, trig_upsample
+from .kernel import SplineParams, boundary_kernel, phi_from_r2
+from .layerpot import _neville_limit, layer_potential, trig_upsample
 from .lpr import (
     GAMMA_BOUNDARY_DEFAULT,
     GAMMA_DEFAULT,
@@ -54,31 +52,6 @@ __all__ = [
     "error_kernel_norms",
     "boundary_support_is_local",
 ]
-
-
-# ---------------------------------------------------------------------------
-# kernel evaluation on squared distances
-# ---------------------------------------------------------------------------
-
-
-def phi_from_r2(params: SplineParams, r2: np.ndarray) -> np.ndarray:
-    """Kernel values from squared distances, avoiding the square root.
-
-    For even ambient dimension the kernel is C r^(2m-d) log r, an integer
-    power of r^2 times half a log of r^2; zero distances map to the
-    continuous limit 0.  This is the workhorse for bulk evaluation where
-    r^2 comes straight out of a matrix product.
-    """
-    if params.d % 2:
-        r = np.sqrt(r2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = fs_constant(params.m, params.d) * r ** (2 * params.m - params.d)
-        return out
-    p = params.m - params.d // 2
-    c = 0.5 * fs_constant(params.m, params.d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = c * r2**p * np.log(r2)
-    return np.where(r2 > 0.0, out, 0.0)
 
 
 def _phi_matrix(params: SplineParams, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -166,7 +139,6 @@ def volume_potential(
     density_fn,
     points,
     level: int,
-    n_theta: int | None = None,
 ) -> np.ndarray:
     """``integral_Omega density(a) phi(x - a) da`` for interior points x.
 
@@ -176,8 +148,7 @@ def volume_potential(
     every evaluation point (guaranteed on convex domains).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if n_theta is None:
-        n_theta = max(64, 4 * level)
+    n_theta = max(64, 4 * level)
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
     u, wu = np.polynomial.legendre.leggauss(level)
     u = 0.5 * (u + 1.0)
@@ -273,33 +244,6 @@ def scheme_grids(
 
 
 # ---------------------------------------------------------------------------
-# reproduction-matrix cache
-# ---------------------------------------------------------------------------
-
-_MATRIX_CACHE: OrderedDict[tuple, tuple] = OrderedDict()
-_MATRIX_CACHE_SIZE = 8
-
-
-def _digest(arr: np.ndarray) -> str:
-    return hashlib.sha1(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
-
-
-def _cached(key: tuple, builder):
-    if key in _MATRIX_CACHE:
-        _MATRIX_CACHE.move_to_end(key)
-        return _MATRIX_CACHE[key]
-    val = builder()
-    _MATRIX_CACHE[key] = val
-    while len(_MATRIX_CACHE) > _MATRIX_CACHE_SIZE:
-        _MATRIX_CACHE.popitem(last=False)
-    return val
-
-
-def clear_reproduction_cache() -> None:
-    _MATRIX_CACHE.clear()
-
-
-# ---------------------------------------------------------------------------
 # the approximant
 # ---------------------------------------------------------------------------
 
@@ -389,66 +333,44 @@ def assemble_TXi(
     oversample: float | None = None,
     *,
     params: SplineParams | None = None,
-    M: int | None = None,
-    gamma: float = GAMMA_DEFAULT,
-    gamma_boundary: float | None = None,
-    use_cache: bool = True,
-    nj_rows: np.ndarray | None = None,
-    solution: DirichletSolution | None = None,
 ) -> Approximant:
     """Assemble the quasi-interpolant of f on the given center set.
 
     Interior: A_xi += sum_q w_q a(alpha_q, xi) Delta^m f(alpha_q) over the
     interior rule.  Boundary: A_xi += sum_j sum_i w_i a_j(x_i, xi) N_j f(x_i)
     over the boundary coefficient grid.  The polynomial part is the one the
-    Dirichlet solve produces, so the operator is linear in f.  Reproduction
-    matrices are cached on the (anchors, centers) content, which makes
-    repeated assembly over the same geometry cheap.
+    Dirichlet solve produces, so the operator is linear in f.
     """
     if params is None:
         params = SplineParams(m=f.m, d=2)
     m = params.m
-    if M is None:
-        M = 2 * m
+    M = 2 * m
     X = centers.points
     h = centers.target_h
     h_local = h if oversample is None else h**oversample
-    if gamma_boundary is None:
-        # the refined boundary zone is only ~2m layers of h_local deep, so the
-        # half-neighborhood argument for the larger prefactor does not apply
-        # there: a nominal ball matching the zone thickness stays well
-        # conditioned, while a 2x one degenerates into a thin slab and
-        # triggers locality-destroying growth
-        gamma_boundary = GAMMA_BOUNDARY_DEFAULT if oversample is None else GAMMA_DEFAULT
+    # the refined boundary zone is only ~2m layers of h_local deep, so the
+    # half-neighborhood argument for the larger prefactor does not apply
+    # there: a nominal ball matching the zone thickness stays well
+    # conditioned, while a 2x one degenerates into a thin slab and
+    # triggers locality-destroying growth
+    gamma_boundary = GAMMA_BOUNDARY_DEFAULT if oversample is None else GAMMA_DEFAULT
     max_radius = 1.5 * grids.curve.diameter()
 
     quad = grids.quadrature
-    key_i = ("interior", _digest(quad.nodes), _digest(X), M, round(h, 12), gamma)
-
-    def build_interior():
-        return interior_reproduction_matrix(
-            quad.nodes, X, h, M, gamma=gamma, max_radius=max_radius
-        )
-
-    A_int, stab_i, _ = _cached(key_i, build_interior) if use_cache else build_interior()
+    A_int, stab_i, _ = interior_reproduction_matrix(
+        quad.nodes, X, h, M, gamma=GAMMA_DEFAULT, max_radius=max_radius
+    )
     lap = np.asarray(f.m_laplacian(quad.nodes))
     coeffs = A_int.T @ (quad.weights * lap)
 
-    if nj_rows is None or solution is None:
-        nj_rows, solution = compute_Nj(params, grids.boundary, f)
+    nj_rows, solution = compute_Nj(params, grids.boundary, f)
     bn = grids.boundary_nodes
     stab_b = {}
     for j in range(m):
-        key_b = ("boundary", j, _digest(bn.points), _digest(X), M,
-                 round(h_local, 14), gamma_boundary)
-
-        def build_boundary(jj=j):
-            return boundary_reproduction_matrix(
-                jj, bn.points, bn.normals, X, h_local, M,
-                gamma=gamma_boundary, max_radius=max_radius,
-            )
-
-        B_j, s_j, _ = _cached(key_b, build_boundary) if use_cache else build_boundary()
+        B_j, s_j, _ = boundary_reproduction_matrix(
+            j, bn.points, bn.normals, X, h_local, M,
+            gamma=gamma_boundary, max_radius=max_radius,
+        )
         stab_b[j] = float(np.max(s_j))
         dens = nj_rows[j]
         if bn.n != grids.boundary.n:
@@ -495,15 +417,12 @@ class ExtensionField:
         f: TargetFunction,
         *,
         level: int | None = None,
-        near_band: float | None = None,
     ):
         self.params = params
         self.grids = grids
         self.f = f
         self.level = int(level) if level is not None else max(24, grids.quadrature.level)
-        self.near_band = (
-            float(near_band) if near_band is not None else 0.06 * grids.curve.diameter()
-        )
+        self.near_band = 0.06 * grids.curve.diameter()
         self.nj_rows, self.solution = compute_Nj(params, grids.boundary, f)
         g = grids.boundary
         self.traces = np.stack(
@@ -569,21 +488,16 @@ class ExtensionField:
         return out if np.asarray(points).ndim > 1 else float(out[0])
 
 
-def eval_extension(f: TargetFunction, grids: SchemeGrids, x, *, params=None, **kwargs):
+def eval_extension(f: TargetFunction, grids: SchemeGrids, x):
     """One-shot evaluation of the global extension of f at x (any point off
     the boundary); builds the field and returns scalar-in/scalar-out."""
-    if params is None:
-        params = SplineParams(m=f.m, d=2)
-    return ExtensionField(params, grids, f, **kwargs)(x)
+    return ExtensionField(SplineParams(m=f.m, d=2), grids, f)(x)
 
 
 def extension_continuity(
     ext: ExtensionField,
     *,
     n_probes: int = 12,
-    delta0: float | None = None,
-    ratio: float = 2.0,
-    rungs: int = 5,
 ) -> float:
     """Largest mismatch between inside and outside limits along normals.
 
@@ -592,28 +506,15 @@ def extension_continuity(
     so the mismatch measures the combined evaluation error of the two paths.
     """
     curve = ext.grids.curve
-    if delta0 is None:
-        delta0 = 0.02 * curve.diameter()
     t = 2 * np.pi * np.arange(n_probes) / n_probes + 0.391
     base = curve.point(t)
     nrm = curve.normal(t)
-    deltas = delta0 / ratio ** np.arange(rungs)
-    worst = 0.0
-    limits = {}
+    deltas = 0.02 * curve.diameter() / 2.0 ** np.arange(5)
+    limits = []
     for sgn in (-1.0, 1.0):
-        vals = np.stack(
-            [ext.evaluate(base + sgn * d * nrm) for d in deltas]
-        )  # (rungs, n_probes)
-        table = [v.copy() for v in vals]
-        for lvl in range(1, rungs):
-            for i in range(rungs - lvl):
-                den = deltas[i] - deltas[i + lvl]
-                table[i] = (
-                    deltas[i] * table[i + 1] - deltas[i + lvl] * table[i]
-                ) / den
-        limits[sgn] = table[0]
-    worst = float(np.max(np.abs(limits[-1.0] - limits[1.0])))
-    return worst
+        vals = np.stack([ext.evaluate(base + sgn * d * nrm) for d in deltas])  # (rungs, n_probes)
+        limits.append(_neville_limit(deltas, vals)[0])
+    return float(np.max(np.abs(limits[0] - limits[1])))
 
 
 def annihilation_check(f: TargetFunction, grids: SchemeGrids, *, params=None) -> float:
@@ -649,24 +550,19 @@ def error_kernel_norms(
     centers: CenterSet,
     *,
     M: int | None = None,
-    gamma: float = GAMMA_DEFAULT,
-    gamma_boundary: float = GAMMA_BOUNDARY_DEFAULT,
     probe_grid: int = 48,
-    margin: float = 0.02,
-    boundary_orders: tuple = (0, 1),
-    chunk: int = 4096,
 ) -> dict:
     """Operator norms of the kernel-replacement errors.
 
     ``interior``: sup over probes x of the integral over the domain of
     |phi(x-a) - sum_xi a(a,xi) phi(x-xi)|, the L_inf -> L_inf norm of the
-    interior error kernel.  ``boundary[j]``: same with the order-j boundary
-    kernel and boundary reproduction, integrated over the boundary.  Their
-    decay exponents in h are the raw ingredients of the convergence rates,
-    but they hold only on rungs that ``boundary_support_is_local`` reports
-    local: once a reproduction ball spans the domain, the errors no longer
-    decay like (1 + dist/h)^-(d+1) and a slope fitted through such a rung is
-    bent by it.
+    interior error kernel.  ``boundary[j]`` for j = 0, 1: same with the
+    order-j boundary kernel and boundary reproduction, integrated over the
+    boundary.  Their decay exponents in h are the raw ingredients of the
+    convergence rates, but they hold only on rungs that
+    ``boundary_support_is_local`` reports local: once a reproduction ball
+    spans the domain, the errors no longer decay like (1 + dist/h)^-(d+1) and
+    a slope fitted through such a rung is bent by it.
     """
     if M is None:
         M = 2 * params.m
@@ -686,14 +582,15 @@ def error_kernel_norms(
     depths = h * np.array([0.25, 0.5, 1.0, 2.0, 4.0])
     depths = depths[depths < 0.45 * curve.reach_estimate()]
     near = [bg.points - t * bg.normals for t in depths]
-    probes = np.concatenate([probe_points(curve, probe_grid, margin)] + near)
+    probes = np.concatenate([probe_points(curve, probe_grid, 0.02)] + near)
 
     quad = interior_quadrature(curve, max(16, int(np.ceil(curve.diameter() / h))))
     A, _, _ = interior_reproduction_matrix(
-        quad.nodes, X, h, M, gamma=gamma, max_radius=max_radius
+        quad.nodes, X, h, M, gamma=GAMMA_DEFAULT, max_radius=max_radius
     )
     phi_Xp = _phi_matrix(params, X, probes)  # (n_centers, n_probes)
     acc = np.zeros(probes.shape[0])
+    chunk = 4096
     for lo in range(0, len(quad), chunk):
         sl = slice(lo, min(lo + chunk, len(quad)))
         exact = _phi_matrix(params, quad.nodes[sl], probes)
@@ -701,10 +598,10 @@ def error_kernel_norms(
         acc += quad.weights[sl] @ np.abs(exact - repl)
     out = {"interior": float(np.max(acc)), "boundary": {}}
 
-    for j in boundary_orders:
+    for j in (0, 1):
         B, _, _ = boundary_reproduction_matrix(
             j, bg.points, bg.normals, X, h, M,
-            gamma=gamma_boundary, max_radius=max_radius,
+            gamma=GAMMA_BOUNDARY_DEFAULT, max_radius=max_radius,
         )
         exact = boundary_kernel(
             params, j, probes[:, None, :], bg.points[None, :, :], bg.normals[None, :, :]

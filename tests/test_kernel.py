@@ -12,7 +12,8 @@ from surfspline.kernel import (
     boundary_pair_kernel,
     fs_constant,
     phi,
-    phi_points,
+    phi_from_r2,
+    phi_profile,
 )
 
 C22 = 1.0 / (8.0 * np.pi)
@@ -37,11 +38,15 @@ def test_phi_3d_linear_radial_part():
     )
 
 
-def test_phi_points_matches_scalar(params2, rng):
-    pts = rng.uniform(0.2, 2.0, size=(20, 2))
-    vec = phi_points(params2, pts)
-    scalars = [phi(params2, p) for p in pts]
-    np.testing.assert_allclose(vec, scalars, rtol=1e-14)
+@pytest.mark.parametrize("d", [2, 3])
+def test_phi_from_r2_matches_profile(d, rng):
+    params = SplineParams(m=2, d=d)
+    r = rng.uniform(0.2, 2.0, size=50)
+    r = r[np.abs(r - 1.0) > 0.05]  # near r = 1 the log vanishes and rtol means nothing
+    np.testing.assert_allclose(
+        phi_from_r2(params, r * r), phi_profile(params).eval(r), rtol=1e-13
+    )
+    assert phi_from_r2(params, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_singular_evaluation_raises(params2):
@@ -77,7 +82,7 @@ def test_trace_kernel_is_phi(params2, rng):
     x = rng.uniform(-1, 1, size=(7, 2)) + np.array([2.0, 0.0])
     np.testing.assert_allclose(
         boundary_kernel(params2, 0, x, alpha, n_alpha),
-        phi_points(params2, x - alpha),
+        phi_from_r2(params2, np.sum((x - alpha) ** 2, axis=-1)),
         rtol=1e-14,
     )
 
@@ -207,7 +212,7 @@ def test_discrete_bilaplacian_vanishes_off_origin(params2):
             for dx2, dy2, c2 in _five_point():
                 pts.append(x + s * np.array([dx + dx2, dy + dy2]))
                 coef.append(c * c2)
-        vals = phi_points(params2, np.asarray(pts))
+        vals = phi_from_r2(params2, np.sum(np.asarray(pts) ** 2, axis=-1))
         return float(np.dot(coef, vals)) / s**4
 
     v1, v2 = disc_bilap(1e-2), disc_bilap(5e-3)

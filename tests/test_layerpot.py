@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from surfspline.errors import NearBoundaryAccuracyWarning
+from surfspline.errors import ExtrapolationDivergenceError, NearBoundaryAccuracyWarning
 from surfspline.geometry import BoundaryGrid
 from surfspline.kernel import SplineParams, boundary_kernel
 from surfspline.layerpot import (
+    _neville_limit,
     jump_check,
     kress_log_weights,
     layer_potential,
@@ -194,6 +195,70 @@ def test_one_sided_trace_validates_inputs(params2, grid256):
         one_sided_trace(
             params2, np.zeros((1, grid256.n)), grid256, 0, "inside", slots=(7,)
         )
+
+
+def test_one_sided_trace_raises_when_ladder_diverges(params2, disk):
+    # the Nyquist mode on a coarse grid oscillates on the scale of the grid
+    # spacing, so its top-order trace changes by O(1) between offsets and the
+    # extrapolation cannot settle; a smooth density on the same grid can
+    grid = BoundaryGrid.build(disk, 16)
+    nyquist = (-1.0) ** np.arange(grid.n)
+    for side in ("inside", "outside"):
+        with pytest.raises(ExtrapolationDivergenceError):
+            one_sided_trace(params2, nyquist[None, :], grid, 3, side, slots=(0,))
+    _, est = one_sided_trace(params2, np.cos(grid.t)[None, :], grid, 3, "inside", slots=(0,))
+    assert np.max(est) < 1e-6
+
+
+def _trace_loop(deltas, vals):
+    """The Neville loop formerly inlined in ``one_sided_trace``."""
+    rungs = len(deltas)
+    table = vals.copy()
+    prev0 = vals[0].copy()
+    est = np.zeros(vals.shape[1])
+    for lvl in range(1, rungs):
+        for i in range(rungs - lvl):
+            num = deltas[i] * table[i + 1] - deltas[i + lvl] * table[i]
+            table[i] = num / (deltas[i] - deltas[i + lvl])
+        est = np.abs(table[0] - prev0)
+        prev0 = table[0].copy()
+    return table[0], est
+
+
+def _continuity_loop(deltas, vals):
+    """The Neville loop formerly inlined in ``scheme.extension_continuity``."""
+    rungs = len(deltas)
+    table = [v.copy() for v in vals]
+    for lvl in range(1, rungs):
+        for i in range(rungs - lvl):
+            den = deltas[i] - deltas[i + lvl]
+            table[i] = (deltas[i] * table[i + 1] - deltas[i + lvl] * table[i]) / den
+    return table[0]
+
+
+@pytest.mark.parametrize("rungs", [2, 3, 5])
+def test_neville_limit_exact_on_polynomials(rungs, rng):
+    # degree rungs - 1 in the offset is reproduced exactly, so the limit is
+    # the constant term
+    deltas = 0.3 / 2.0 ** np.arange(rungs)
+    coef = rng.normal(size=(rungs, 7))
+    vals = np.stack([sum(coef[p] * d**p for p in range(rungs)) for d in deltas])
+    limit, est = _neville_limit(deltas, vals)
+    np.testing.assert_allclose(limit, coef[0], rtol=0, atol=1e-12)
+    assert est.shape == (7,) and np.all(est >= 0)
+
+
+@pytest.mark.parametrize(
+    "deltas",
+    [0.17 / 2.0 ** np.arange(5), 0.04 / 2.0 ** np.arange(5), np.array([0.5, 0.31, 0.2, 0.07])],
+)
+def test_neville_limit_bitwise_equals_inline_loops(deltas, rng):
+    vals = rng.normal(size=(len(deltas), 33)) + np.log(deltas)[:, None]
+    limit, est = _neville_limit(deltas, vals)
+    ref_limit, ref_est = _trace_loop(deltas, vals)
+    np.testing.assert_array_equal(limit, ref_limit)
+    np.testing.assert_array_equal(est, ref_est)
+    np.testing.assert_array_equal(limit, _continuity_loop(deltas, vals))
 
 
 def test_jump_relation_single_slot(params2, disk):
