@@ -62,9 +62,9 @@ def main() -> int:
 
     f = named_target(args.target, args.m)
     grids = scheme_grids(curve, 0.1, n_solver=args.n, level=args.level)
-    print(f"source-moment annihilation ({args.target}): "
-          f"{annihilation_check(f, grids, params=params):.3e}")
     field = ExtensionField(params, grids, f)
+    print(f"source-moment annihilation ({args.target}): "
+          f"{annihilation_check(field):.3e}")
     print(f"extension continuity across the boundary: "
           f"{extension_continuity(field):.3e}")
     return 0

@@ -48,10 +48,7 @@ from .harness import (
 from .kernel import SplineParams, fs_constant, phi, phi_from_r2
 from .layerpot import layer_potential
 from .lpr import (
-    LocalReproduction,
     boundary_reproduction_matrix,
-    build_boundary_lpr,
-    build_interior_lpr,
     interior_reproduction_matrix,
 )
 from .polyspace import PolyBasis
@@ -64,7 +61,6 @@ from .scheme import (
     boundary_support_is_local,
     error_kernel_norms,
     eval_approximant,
-    eval_extension,
     extension_continuity,
     greens_representation,
     interior_quadrature,
@@ -100,9 +96,6 @@ __all__ = [
     "solve_dirichlet",
     "compute_Nj",
     "principal_symbol_matrix",
-    "LocalReproduction",
-    "build_interior_lpr",
-    "build_boundary_lpr",
     "interior_reproduction_matrix",
     "boundary_reproduction_matrix",
     "SchemeGrids",
@@ -115,7 +108,6 @@ __all__ = [
     "assemble_TXi",
     "eval_approximant",
     "ExtensionField",
-    "eval_extension",
     "extension_continuity",
     "annihilation_check",
     "error_kernel_norms",

@@ -88,13 +88,12 @@ def _cmd_solve_dirichlet(args) -> int:
 
 def _cmd_approximate(args) -> int:
     curve = curve_from_spec(args.curve)
-    params = SplineParams(m=args.m, d=2)
     f = named_target(args.target, args.m)
     centers = generate_centers(curve, args.h, seed=args.seed)
     if args.oversample is not None:
         centers = oversample_boundary(curve, centers, args.h, args.oversample, args.m)
     grids = scheme_grids(curve, args.h, nu=args.oversample, n_solver=args.n)
-    apx = assemble_TXi(f, centers, grids, oversample=args.oversample, params=params)
+    apx = assemble_TXi(f, centers, grids, oversample=args.oversample)
     apx.save_csv(args.output)
     if args.centers:
         centers.save_csv(args.centers)

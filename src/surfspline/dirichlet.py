@@ -31,10 +31,10 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import ResidualToleranceError, SingularSystemError
-from .geometry import BoundaryGrid, DomainCurve
+from .geometry import BoundaryGrid
 from .kernel import SplineParams
 from .layerpot import layer_potential, nystrom_matrix, one_sided_trace
-from .polyspace import PolyBasis, side_condition_matrix
+from .polyspace import PolyBasis, boundary_op_values, side_condition_matrix
 from .targets import TargetFunction
 
 __all__ = [
@@ -138,10 +138,6 @@ class DirichletSolution:
     residual: float
     rcond: float
 
-    @property
-    def curve(self) -> DomainCurve:
-        return self.grid.curve
-
     @cached_property
     def polynomial(self):
         return self.basis.combine(self.poly_coeffs)
@@ -164,8 +160,6 @@ class DirichletSolution:
     def boundary_trace(self, k: int, side: str = "inside"):
         """One-sided nodal trace of op_k u, including the polynomial part."""
         vals, est = one_sided_trace(self.params, self.densities, self.grid, k, side)
-        from .polyspace import boundary_op_values
-
         vals = vals + boundary_op_values(
             k, self.polynomial, self.grid.points, self.grid.normals
         )

@@ -196,7 +196,6 @@ def converge(config: ExperimentConfig, *, verbose: bool = False) -> ErrorReport:
     log error against log measured fill over the last three clean rungs.
     """
     curve = curve_from_spec(config.curve)
-    params = SplineParams(m=config.m, d=2)
     f = named_target(config.target, config.m)
     nu = config.resolved_nu()
 
@@ -213,7 +212,7 @@ def converge(config: ExperimentConfig, *, verbose: bool = False) -> ErrorReport:
             if nu is not None:
                 cs = oversample_boundary(curve, cs, h, nu, config.m)
             grids = scheme_grids(curve, h, nu=nu, n_solver=config.n_solver)
-            apx = assemble_TXi(f, cs, grids, oversample=nu, params=params)
+            apx = assemble_TXi(f, cs, grids, oversample=nu)
             errors = _norm_errors(
                 config.norms,
                 eval_approximant(apx, probes) - fp,

@@ -252,11 +252,11 @@ def one_sided_trace(
     By default row s of ``densities`` charges the potential of order s (the
     multilayer arrangement uses orders ``0 .. m-1``); pass explicit ``slots``
     for other combinations.  Evaluates along the normal-offset ladder of five
-    offsets ``5 * spacing / 2**r`` on the requested side, with the densities
-    upsampled 32-fold, and extrapolates polynomially to offset zero.  Returns
-    the extrapolated nodal values and an error estimate (the magnitude of the
-    last extrapolation correction).  Raises when the ladder fails to
-    stabilize relative to the trace magnitude.
+    offsets ``min(5 * spacing, reach) / 2**r`` on the requested side, with
+    the densities upsampled 32-fold, and extrapolates polynomially to offset
+    zero.  Returns the extrapolated nodal values and an error estimate (the
+    magnitude of the last extrapolation correction).  Raises when the ladder
+    fails to stabilize relative to the trace magnitude.
     """
     if side not in ("inside", "outside"):
         raise ValueError("side must be 'inside' or 'outside'")
@@ -276,7 +276,10 @@ def one_sided_trace(
         (k, j, trig_upsample(densities[s], n_f))
         for s, j in enumerate(slots)
     ]
-    deltas = 5.0 * spacing / 2.0 ** np.arange(5)
+    # on a coarse grid five spacings can exceed the curve's size, and the
+    # inside offsets would leave the domain; the reach bounds the first one
+    first = min(5.0 * spacing, grid.curve.reach_estimate())
+    deltas = first / 2.0 ** np.arange(5)
     vals = np.empty((len(deltas), grid.n))
     for r, d in enumerate(deltas):
         x_r = grid.points + sgn * d * grid.normals

@@ -28,7 +28,6 @@ own support, never on which other anchors share its batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import comb, factorial
 
@@ -44,9 +43,6 @@ __all__ = [
     "GAMMA_BOUNDARY_DEFAULT",
     "COND_CAP_DEFAULT",
     "GROWTH_SPAN_DEFAULT",
-    "LocalReproduction",
-    "build_interior_lpr",
-    "build_boundary_lpr",
     "interior_reproduction_matrix",
     "boundary_reproduction_matrix",
 ]
@@ -70,28 +66,18 @@ COND_CAP_DEFAULT = 1e4
 #: unbounded growth would trade a conditioning warning for lost locality
 GROWTH_SPAN_DEFAULT = 4.0
 
+#: radius growth factor per step of an anchor whose support fails
+_GROWTH = 1.25
+
+#: largest constraint residual an exact reproduction may leave
+_RESIDUAL_TOL = 1e-10
+
 #: ceiling on B * P * K, the entries of one batched (anchors x monomials x
 #: support) Vandermonde; supports run from tens to over a thousand centers
 #: on oversampled sets, so a whole radius step padded to its widest support
 #: would not fit in memory, while 2^20 entries (8 MB a float array) keeps
 #: the per-batch overhead small next to the solve
 _ENTRY_BUDGET = 1 << 20
-
-
-@dataclass(frozen=True)
-class LocalReproduction:
-    """Sparse reproduction coefficients at one anchor."""
-
-    anchor: np.ndarray
-    indices: np.ndarray
-    coefficients: np.ndarray
-    order: int
-    radius: float
-    stability: float
-
-    def apply(self, values: np.ndarray) -> float:
-        """Apply the functional to nodal values over the full center set."""
-        return float(np.dot(self.coefficients, np.asarray(values)[self.indices]))
 
 
 def _monomial_rhs(order: int, j: int, normals, radius: float) -> np.ndarray:
@@ -186,12 +172,8 @@ def _reproduce(
     h: float,
     order: int,
     *,
-    tree: cKDTree | None = None,
     gamma: float,
-    growth: float = 1.25,
-    residual_tol: float = 1e-10,
     cond_cap: float = COND_CAP_DEFAULT,
-    growth_span: float = GROWTH_SPAN_DEFAULT,
     max_radius: float | None = None,
 ):
     """Order-``order`` reproductions of op_j at every anchor.
@@ -200,8 +182,7 @@ def _reproduce(
     (anchors x centers), and per-anchor l1 mass and support radius.
     """
     centers = np.asarray(centers, dtype=float)
-    if tree is None:
-        tree = cKDTree(centers)
+    tree = cKDTree(centers)
     if max_radius is None:
         max_radius = 4.0 * float(np.max(np.linalg.norm(centers, axis=1))) + 10 * h
     exps = monomial_exponents(order)
@@ -226,7 +207,7 @@ def _reproduce(
     radius = gamma * order**2 * h if order else 1e-9 * h
     # conditioning-driven growth must not be allowed to destroy locality:
     # past a few-fold enlargement, accept the lightest exact candidate instead
-    span_radius = min(max_radius, growth_span * max(radius, 0.25 * h))
+    span_radius = min(max_radius, GROWTH_SPAN_DEFAULT * max(radius, 0.25 * h))
     open_ = np.arange(n)
     step = 0
     while open_.size and radius <= max_radius:
@@ -261,7 +242,7 @@ def _reproduce(
                     np.broadcast_to(rhs, (ids.size, P)),
                 )
                 mass = np.sum(np.abs(w), axis=1)
-                exact = resid < residual_tol
+                exact = resid < _RESIDUAL_TOL
                 ok = exact & (cond <= cond_cap)
                 better = exact & ~ok & (mass < best_stab[ids])
                 worst_resid[ids] = np.fmin(worst_resid[ids], resid)
@@ -279,7 +260,7 @@ def _reproduce(
                         w[better].ravel(), step,
                     ))
         open_ = open_[~done]
-        radius = radius * growth if order else max(radius * growth, 0.25 * h)
+        radius = radius * _GROWTH if order else max(radius * _GROWTH, 0.25 * h)
         step += 1
 
     failed = np.flatnonzero(~accepted & (best_step < 0))
@@ -305,72 +286,6 @@ def _reproduce(
     return A, stab, radii
 
 
-def _single(built, anchor, order: int) -> LocalReproduction:
-    A, stab, radii = built
-    return LocalReproduction(
-        anchor=anchor,
-        indices=A.indices,
-        coefficients=A.data,
-        order=order,
-        radius=float(radii[0]),
-        stability=float(stab[0]),
-    )
-
-
-def build_interior_lpr(
-    alpha,
-    centers,
-    h: float,
-    M: int,
-    *,
-    tree: cKDTree | None = None,
-    gamma: float = GAMMA_DEFAULT,
-    growth: float = 1.25,
-    residual_tol: float = 1e-10,
-    cond_cap: float = COND_CAP_DEFAULT,
-    growth_span: float = GROWTH_SPAN_DEFAULT,
-    max_radius: float | None = None,
-) -> LocalReproduction:
-    """Point-evaluation reproduction of order M at an interior anchor."""
-    alpha = np.asarray(alpha, dtype=float)
-    built = _reproduce(
-        0, alpha[None], None, centers, h, M,
-        tree=tree, gamma=gamma, growth=growth, residual_tol=residual_tol,
-        cond_cap=cond_cap, growth_span=growth_span, max_radius=max_radius,
-    )
-    return _single(built, alpha, M)
-
-
-def build_boundary_lpr(
-    j: int,
-    alpha,
-    centers,
-    h_local: float,
-    M: int,
-    *,
-    normal=None,
-    tree: cKDTree | None = None,
-    gamma: float = GAMMA_BOUNDARY_DEFAULT,
-    growth: float = 1.25,
-    residual_tol: float = 1e-10,
-    cond_cap: float = COND_CAP_DEFAULT,
-    growth_span: float = GROWTH_SPAN_DEFAULT,
-    max_radius: float | None = None,
-) -> LocalReproduction:
-    """Order-M reproduction of the boundary functional op_j at a boundary
-    anchor; odd j requires the outward normal there."""
-    if j % 2 and normal is None:
-        raise ValueError("odd boundary operators require the anchor normal")
-    alpha = np.asarray(alpha, dtype=float)
-    normals = None if normal is None else np.asarray(normal, dtype=float)[None]
-    built = _reproduce(
-        j, alpha[None], normals, centers, h_local, M,
-        tree=tree, gamma=gamma, growth=growth, residual_tol=residual_tol,
-        cond_cap=cond_cap, growth_span=growth_span, max_radius=max_radius,
-    )
-    return _single(built, alpha, M)
-
-
 def interior_reproduction_matrix(
     anchors, centers, h: float, M: int, **kwargs
 ) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
@@ -379,6 +294,7 @@ def interior_reproduction_matrix(
     Returns ``(A, stabilities, radii)`` with ``A[q, xi] = a(anchor_q, xi)``;
     the rows of A turn center-value vectors into anchor values of any
     polynomial in Pi_M exactly.  Zero anchors give a (0, n_centers) matrix.
+    Keywords ``gamma``, ``cond_cap`` and ``max_radius`` pass to the solver.
     """
     anchors = np.asarray(anchors, dtype=float).reshape(-1, 2)
     kwargs.setdefault("gamma", GAMMA_DEFAULT)

@@ -46,7 +46,6 @@ __all__ = [
     "assemble_TXi",
     "eval_approximant",
     "ExtensionField",
-    "eval_extension",
     "extension_continuity",
     "annihilation_check",
     "error_kernel_norms",
@@ -183,14 +182,27 @@ def greens_representation(
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     grid = BoundaryGrid.build(curve, n)
+    traces = [f.trace(j, grid.points, grid.normals) for j in range(2 * params.m)]
     vals = volume_potential(params, curve, f.m_laplacian, pts, level)
+    return vals + _full_trace_sum(params, grid, traces, pts)
+
+
+def _full_trace_sum(
+    params: SplineParams, grid: BoundaryGrid, traces, pts: np.ndarray
+) -> np.ndarray:
+    """``sum_j (-1)^j V_{2m-1-j}[traces[j]]`` at off-boundary points.
+
+    ``traces[j]`` holds op_j f on the grid, j = 0 .. 2m-1.  Inside the domain
+    this sum is f minus the volume potential of Delta^m f; outside, where f
+    contributes nothing, it is minus that volume potential.
+    """
+    out = np.zeros(pts.shape[0])
     for j in range(2 * params.m):
-        dens = f.trace(j, grid.points, grid.normals)
         sign = 1.0 if j % 2 == 0 else -1.0
-        vals = vals + sign * layer_potential(
-            params, 2 * params.m - 1 - j, grid, dens, pts
+        out += sign * layer_potential(
+            params, 2 * params.m - 1 - j, grid, traces[j], pts
         )
-    return vals
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +343,6 @@ def assemble_TXi(
     centers: CenterSet,
     grids: SchemeGrids,
     oversample: float | None = None,
-    *,
-    params: SplineParams | None = None,
 ) -> Approximant:
     """Assemble the quasi-interpolant of f on the given center set.
 
@@ -341,8 +351,7 @@ def assemble_TXi(
     over the boundary coefficient grid.  The polynomial part is the one the
     Dirichlet solve produces, so the operator is linear in f.
     """
-    if params is None:
-        params = SplineParams(m=f.m, d=2)
+    params = SplineParams(m=f.m, d=2)
     m = params.m
     M = 2 * m
     X = centers.points
@@ -404,10 +413,10 @@ class ExtensionField:
     finite-energy continuation outside.
 
     Inside, the volume term integrates the kernel against Delta^m f in polar
-    coordinates about the evaluation point.  Outside, the same term is either
-    summed by the fixed interior rule (the integrand is then smooth) or, very
-    near the boundary, rewritten through the full-trace boundary identity so
-    only layer potentials remain; the two paths agree on their overlap.
+    coordinates about the evaluation point.  Outside, it is evaluated through
+    the full-trace boundary identity alone: there the volume potential of
+    Delta^m f equals minus the alternating sum of layer potentials of the 2m
+    traces of f, so only boundary integrals remain, at any distance.
     """
 
     def __init__(
@@ -422,54 +431,26 @@ class ExtensionField:
         self.grids = grids
         self.f = f
         self.level = int(level) if level is not None else max(24, grids.quadrature.level)
-        self.near_band = 0.06 * grids.curve.diameter()
         self.nj_rows, self.solution = compute_Nj(params, grids.boundary, f)
         g = grids.boundary
         self.traces = np.stack(
             [f.trace(j, g.points, g.normals) for j in range(2 * params.m)]
         )
-        self._lap_quad = np.asarray(f.m_laplacian(grids.quadrature.nodes))
-
-    # -- volume term -------------------------------------------------------
-    def _volume_inside(self, pts: np.ndarray) -> np.ndarray:
-        return volume_potential(
-            self.params, self.grids.curve, self.f.m_laplacian, pts, self.level
-        )
-
-    def _volume_outside_far(self, pts: np.ndarray) -> np.ndarray:
-        quad = self.grids.quadrature
-        phi_m = _phi_matrix(self.params, pts, quad.nodes)
-        return phi_m @ (quad.weights * self._lap_quad)
-
-    def _volume_outside_near(self, pts: np.ndarray) -> np.ndarray:
-        # at exterior points the volume term equals minus the alternating
-        # full-trace boundary sum (the identity whose interior version
-        # reconstructs f), leaving only boundary integrals to evaluate
-        g = self.grids.boundary
-        out = np.zeros(pts.shape[0])
-        for j in range(2 * self.params.m):
-            sign = 1.0 if j % 2 == 0 else -1.0
-            out -= sign * layer_potential(
-                self.params, 2 * self.params.m - 1 - j, g, self.traces[j], pts
-            )
-        return out
 
     def volume_term(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rho = signed_distance(self.grids.curve, pts)
+        inside = signed_distance(self.grids.curve, pts) < 0.0
         out = np.empty(pts.shape[0])
-        inside = rho < 0.0
         if np.any(inside):
-            out[inside] = self._volume_inside(pts[inside])
-        near = (~inside) & (rho < self.near_band)
-        far = (~inside) & ~near
-        if np.any(near):
-            out[near] = self._volume_outside_near(pts[near])
-        if np.any(far):
-            out[far] = self._volume_outside_far(pts[far])
+            out[inside] = volume_potential(
+                self.params, self.grids.curve, self.f.m_laplacian, pts[inside], self.level
+            )
+        if not np.all(inside):
+            out[~inside] = -_full_trace_sum(
+                self.params, self.grids.boundary, self.traces, pts[~inside]
+            )
         return out
 
-    # -- full field --------------------------------------------------------
     def convolution_part(self, points) -> np.ndarray:
         """Field minus polynomial: the part that decays at infinity."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -486,12 +467,6 @@ class ExtensionField:
     def __call__(self, points):
         out = self.evaluate(np.atleast_2d(np.asarray(points, dtype=float)))
         return out if np.asarray(points).ndim > 1 else float(out[0])
-
-
-def eval_extension(f: TargetFunction, grids: SchemeGrids, x):
-    """One-shot evaluation of the global extension of f at x (any point off
-    the boundary); builds the field and returns scalar-in/scalar-out."""
-    return ExtensionField(SplineParams(m=f.m, d=2), grids, f)(x)
 
 
 def extension_continuity(
@@ -517,24 +492,21 @@ def extension_continuity(
     return float(np.max(np.abs(limits[0] - limits[1])))
 
 
-def annihilation_check(f: TargetFunction, grids: SchemeGrids, *, params=None) -> float:
-    """Largest moment of the representation source against low-degree
-    polynomials; vanishes in exact arithmetic (which is what lets the field
-    decay instead of growing polynomially)."""
-    if params is None:
-        params = SplineParams(m=f.m, d=2)
-    m = params.m
-    nj_rows, _ = compute_Nj(params, grids.boundary, f)
-    quad = grids.quadrature
-    lap = np.asarray(f.m_laplacian(quad.nodes))
-    g = grids.boundary
+def annihilation_check(ext: ExtensionField) -> float:
+    """Largest moment of the field's representation source against
+    low-degree polynomials; vanishes in exact arithmetic (which is what lets
+    the field decay instead of growing polynomially)."""
+    m = ext.params.m
+    quad = ext.grids.quadrature
+    lap = np.asarray(ext.f.m_laplacian(quad.nodes))
+    g = ext.grids.boundary
     worst = 0.0
     for i, j in monomial_exponents(m - 1):
         mono = {(i, j): 1.0}
         acc = float(np.dot(quad.weights * lap, poly_eval(mono, quad.nodes)))
         for jj in range(m):
             lam_q = boundary_op_values(jj, mono, g.points, g.normals)
-            acc += g.integrate(nj_rows[jj] * lam_q)
+            acc += g.integrate(ext.nj_rows[jj] * lam_q)
         worst = max(worst, abs(acc))
     return worst
 

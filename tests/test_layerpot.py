@@ -210,6 +210,21 @@ def test_one_sided_trace_raises_when_ladder_diverges(params2, disk):
     assert np.max(est) < 1e-6
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_one_sided_trace_offsets_stay_inside_on_coarse_grids(params2, disk, k):
+    # with 8 nodes five spacings (about 3.9) exceed the disk's diameter; the
+    # first offset is capped at the reach, so the inside ladder stays in the
+    # domain and a smooth density gives the same trace as a fine grid does
+    coarse = BoundaryGrid.build(disk, 8)
+    fine = BoundaryGrid.build(disk, 64)
+    vals, est = one_sided_trace(
+        params2, np.cos(coarse.t)[None, :], coarse, k, "inside", slots=(0,)
+    )
+    ref, _ = one_sided_trace(params2, np.cos(fine.t)[None, :], fine, k, "inside", slots=(0,))
+    assert np.max(est) < 1e-8
+    np.testing.assert_allclose(vals, ref[::8], rtol=0, atol=1e-8)
+
+
 def _trace_loop(deltas, vals):
     """The Neville loop formerly inlined in ``one_sided_trace``."""
     rungs = len(deltas)

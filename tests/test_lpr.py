@@ -15,8 +15,6 @@ from surfspline.lpr import (
     GROWTH_SPAN_DEFAULT,
     _monomial_rhs,
     boundary_reproduction_matrix,
-    build_boundary_lpr,
-    build_interior_lpr,
     interior_reproduction_matrix,
 )
 from surfspline.polyspace import (
@@ -37,45 +35,40 @@ def test_order_zero_is_nearest_center(centers05):
     # a degenerate start radius leaves exactly one center in the support, and
     # reproducing constants from a single point forces the delta weight
     anchor = np.array([0.21, -0.37])
-    rep = build_interior_lpr(anchor, centers05.points, 0.05, 0)
-    assert rep.indices.size == 1
-    assert rep.coefficients[0] == pytest.approx(1.0, rel=1e-12)
+    A, _, _ = interior_reproduction_matrix(anchor[None], centers05.points, 0.05, 0)
+    assert A.indices.size == 1
+    assert A.data[0] == pytest.approx(1.0, rel=1e-12)
     tree = cKDTree(centers05.points)
-    assert rep.indices[0] == tree.query(anchor)[1]
+    assert A.indices[0] == tree.query(anchor)[1]
 
 
 def test_interior_exactness_order4(centers05, rng):
     # order 2m = 4 reproduction on all of Pi_4
     pts = centers05.points
     basis = PolyBasis.up_to_degree(4)
-    V = basis.eval(pts)
-    for _ in range(20):
-        anchor = rng.uniform(-0.5, 0.5, size=2)
-        rep = build_interior_lpr(anchor, pts, 0.05, 4)
-        target = basis.eval(anchor[None])[0]
-        err = np.max(np.abs(V[rep.indices].T @ rep.coefficients - target))
-        assert err < 1e-10
+    anchors = rng.uniform(-0.5, 0.5, size=(20, 2))
+    A, _, _ = interior_reproduction_matrix(anchors, pts, 0.05, 4)
+    err = np.max(np.abs(A @ basis.eval(pts) - basis.eval(anchors)), axis=1)
+    assert np.all(err < 1e-10)
 
 
 def test_interior_locality(centers05, rng):
     # supports stay within a couple of growth steps of the nominal ball
     nominal = 0.25 * 16 * 0.05
-    for _ in range(10):
-        anchor = rng.uniform(-0.5, 0.5, size=2)
-        rep = build_interior_lpr(anchor, centers05.points, 0.05, 4)
-        spread = np.max(
-            np.linalg.norm(centers05.points[rep.indices] - anchor, axis=1)
-        )
-        assert spread <= nominal * 1.25**2 + 1e-12
-        assert rep.radius <= nominal * 1.25**2 + 1e-12
+    anchors = rng.uniform(-0.5, 0.5, size=(10, 2))
+    A, _, radii = interior_reproduction_matrix(anchors, centers05.points, 0.05, 4)
+    coo = A.tocoo()
+    spread = np.linalg.norm(centers05.points[coo.col] - anchors[coo.row], axis=1)
+    assert np.max(spread) <= nominal * 1.25**2 + 1e-12
+    assert np.all(radii <= nominal * 1.25**2 + 1e-12)
 
 
 def test_interior_stability_bounded(centers05, rng):
-    for _ in range(10):
-        anchor = rng.uniform(-0.6, 0.6, size=2)
-        rep = build_interior_lpr(anchor, centers05.points, 0.05, 4)
-        assert rep.stability == pytest.approx(np.sum(np.abs(rep.coefficients)))
-        assert rep.stability < 25.0
+    anchors = rng.uniform(-0.6, 0.6, size=(10, 2))
+    A, stab, _ = interior_reproduction_matrix(anchors, centers05.points, 0.05, 4)
+    mass = np.asarray(abs(A).sum(axis=1)).ravel()
+    assert stab == pytest.approx(mass)
+    assert np.all(stab < 25.0)
 
 
 def test_support_scales_with_h(disk, rng):
@@ -83,12 +76,8 @@ def test_support_scales_with_h(disk, rng):
     coarse = generate_centers(disk, 0.1, seed=0)
     fine = generate_centers(disk, 0.05, seed=0)
     anchors = rng.uniform(-0.4, 0.4, size=(15, 2))
-    r_coarse = np.mean(
-        [build_interior_lpr(a, coarse.points, 0.1, 4).radius for a in anchors]
-    )
-    r_fine = np.mean(
-        [build_interior_lpr(a, fine.points, 0.05, 4).radius for a in anchors]
-    )
+    r_coarse = np.mean(interior_reproduction_matrix(anchors, coarse.points, 0.1, 4)[2])
+    r_fine = np.mean(interior_reproduction_matrix(anchors, fine.points, 0.05, 4)[2])
     assert 1.5 <= r_coarse / r_fine <= 3.0
 
 
@@ -98,26 +87,21 @@ def test_boundary_functional_reproduction(disk, centers05):
     t = 1.1
     anchor = np.array([np.cos(t), np.sin(t)])
     normal = anchor.copy()
-    rep = build_boundary_lpr(
-        1, anchor, centers05.points, 0.05, 4, normal=normal
+    B, _, _ = boundary_reproduction_matrix(
+        1, anchor[None], normal[None], centers05.points, 0.05, 4
     )
     basis = PolyBasis.up_to_degree(4)
     V = basis.eval(centers05.points)
     for col, p in enumerate(basis.polynomials()):
         target = boundary_op_values(1, p, anchor[None], normal[None])[0]
-        got = float(V[rep.indices, col] @ rep.coefficients)
+        got = float((B @ V[:, col])[0])
         assert got == pytest.approx(target, abs=2e-9)
-
-
-def test_boundary_odd_requires_normal(centers05):
-    with pytest.raises(ValueError):
-        build_boundary_lpr(1, np.array([1.0, 0.0]), centers05.points, 0.05, 4)
 
 
 def test_norming_failure_on_tiny_max_radius(centers05):
     with pytest.raises(NormingFailureError):
-        build_interior_lpr(
-            np.array([0.0, 0.0]), centers05.points, 0.05, 4, max_radius=0.02
+        interior_reproduction_matrix(
+            np.zeros((1, 2)), centers05.points, 0.05, 4, max_radius=0.02
         )
 
 
@@ -125,16 +109,15 @@ def test_growth_span_limits_conditioning_growth(centers05):
     # an impossible conditioning cap must not inflate the support forever:
     # once the span is exhausted the lightest exact candidate is returned
     anchor = np.array([0.1, 0.2])
-    rep = build_interior_lpr(
-        anchor, centers05.points, 0.05, 4, cond_cap=1.0
+    A, _, radii = interior_reproduction_matrix(
+        anchor[None], centers05.points, 0.05, 4, cond_cap=1.0
     )
     nominal = 0.25 * 16 * 0.05
-    assert rep.radius <= GROWTH_SPAN_DEFAULT * nominal * 1.25 + 1e-12
+    assert radii[0] <= GROWTH_SPAN_DEFAULT * nominal * 1.25 + 1e-12
     # the returned weights still satisfy the reproduction constraints
     basis = PolyBasis.up_to_degree(4)
-    V = basis.eval(centers05.points)
     target = basis.eval(anchor[None])[0]
-    err = np.max(np.abs(V[rep.indices].T @ rep.coefficients - target))
+    err = np.max(np.abs((A @ basis.eval(centers05.points))[0] - target))
     assert err < 1e-8
 
 
@@ -148,11 +131,12 @@ def test_reproduction_matrix_stacks_rows(centers05, rng):
     basis = PolyBasis.up_to_degree(4)
     err = A @ basis.eval(centers05.points) - basis.eval(anchors)
     assert np.max(np.abs(err)) < 1e-10
-    # rows match individually built reproductions
-    single = build_interior_lpr(anchors[3], centers05.points, 0.05, 4)
-    np.testing.assert_allclose(
-        A[3].toarray().ravel()[single.indices], single.coefficients, atol=1e-14
+    # a row does not depend on its batch: a one-row call gives it bit for bit
+    A3, stab3, radii3 = interior_reproduction_matrix(
+        anchors[3:4], centers05.points, 0.05, 4
     )
+    np.testing.assert_array_equal(A[3].toarray(), A3.toarray())
+    assert (stab3[0], radii3[0]) == (stab[3], radii[3])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from surfspline.scheme import (
     boundary_support_is_local,
     error_kernel_norms,
     eval_approximant,
-    eval_extension,
     extension_continuity,
     greens_representation,
     interior_quadrature,
@@ -273,15 +272,27 @@ def test_extension_continuity_across_boundary(gauss_extension):
     assert extension_continuity(gauss_extension, n_probes=8) < 1e-4
 
 
-def test_extension_outside_paths_agree(gauss_extension, disk):
-    # near-band boundary rewrite and far-field quadrature must agree where
-    # both are valid; compare just outside and beyond the band along a ray
-    band = gauss_extension.near_band
+def test_extension_outside_paths_agree(gauss_extension):
+    # outside the domain the volume term is evaluated through the boundary
+    # identity alone; the interior rule summed against the now smooth
+    # kernel is an independent oracle for it, just outside and far away
+    from surfspline.kernel import phi_from_r2
+
+    ext = gauss_extension
+    quad = ext.grids.quadrature
+    source = quad.weights * ext.f.m_laplacian(quad.nodes)
     direction = np.array([np.cos(0.7), np.sin(0.7)])
-    p_near = (1.0 + 0.8 * band) * direction
-    via_near = gauss_extension._volume_outside_near(p_near[None])[0]
-    via_far = gauss_extension._volume_outside_far(p_near[None])[0]
-    assert via_near == pytest.approx(via_far, abs=2e-6)
+
+    def interior_rule(x):
+        return phi_from_r2(ext.params, np.sum((x - quad.nodes) ** 2, axis=1)) @ source
+
+    p_near = (1.0 + 0.8 * 0.12) * direction
+    assert ext.volume_term(p_near[None])[0] == pytest.approx(
+        interior_rule(p_near), abs=2e-6
+    )
+    for r in (1.5, 3.0, 10.0):
+        x = r * direction
+        assert ext.volume_term(x[None])[0] == pytest.approx(interior_rule(x), rel=1e-11)
 
 
 def test_extension_convolution_part_subpolynomial(gauss_extension):
@@ -294,16 +305,18 @@ def test_extension_convolution_part_subpolynomial(gauss_extension):
     assert slope < 0.6
 
 
-def test_eval_extension_scalar_interface(disk):
+def test_extension_scalar_interface(disk):
     grids = scheme_grids(disk, 0.2, n_solver=128)
     f = named_target("cubicmix", 2)
-    val = eval_extension(f, grids, (0.2, 0.3))
+    val = ExtensionField(SplineParams(2, 2), grids, f)((0.2, 0.3))
+    assert isinstance(val, float)
     assert val == pytest.approx(0.2**2 * 0.3, abs=1e-6)
 
 
 def test_annihilation_check_small(disk):
     grids = scheme_grids(disk, 0.1)
-    assert annihilation_check(named_target("expx", 2), grids) < 1e-6
+    ext = ExtensionField(SplineParams(2, 2), grids, named_target("expx", 2))
+    assert annihilation_check(ext) < 1e-6
 
 
 # ---------------------------------------------------------------------------
