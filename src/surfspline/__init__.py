@@ -68,7 +68,7 @@ from .scheme import (
     scheme_grids,
     volume_potential,
 )
-from .targets import TargetFunction, named_target, target_from_callable, target_from_expression
+from .targets import TargetFunction, named_target, target_from_expression
 
 __all__ = [
     "SplineParams",
@@ -90,7 +90,6 @@ __all__ = [
     "TargetFunction",
     "named_target",
     "target_from_expression",
-    "target_from_callable",
     "layer_potential",
     "DirichletSolution",
     "solve_dirichlet",

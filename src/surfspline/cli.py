@@ -93,7 +93,7 @@ def _cmd_approximate(args) -> int:
     if args.oversample is not None:
         centers = oversample_boundary(curve, centers, args.h, args.oversample, args.m)
     grids = scheme_grids(curve, args.h, nu=args.oversample, n_solver=args.n)
-    apx = assemble_TXi(f, centers, grids, oversample=args.oversample)
+    apx = assemble_TXi(f, centers, grids)
     apx.save_csv(args.output)
     if args.centers:
         centers.save_csv(args.centers)

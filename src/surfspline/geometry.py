@@ -40,7 +40,6 @@ __all__ = [
     "fill_distance",
     "generate_centers",
     "oversample_boundary",
-    "boundary_zone_fill",
 ]
 
 
@@ -384,9 +383,6 @@ class CenterSet:
     def __len__(self) -> int:
         return int(self.points.shape[0])
 
-    def tree(self) -> cKDTree:
-        return cKDTree(self.points)
-
     def save_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x,y\n")
@@ -568,15 +564,3 @@ def oversample_boundary(
         boundary_spacing=hb,
         n_base=len(base),
     )
-
-
-def boundary_zone_fill(centers: CenterSet, curve: DomainCurve, depth: float) -> float:
-    """Fill distance restricted to the inner tube {0 <= -rho <= depth}."""
-    nb = max(512, int(np.ceil(curve.arclength() / (0.2 * depth))))
-    t = 2 * np.pi * np.arange(nb) / nb
-    gpts = curve.point(t)
-    nrm = curve.normal(t)
-    ds = np.linspace(0.0, depth, 9)
-    samples = np.concatenate([gpts - d * nrm for d in ds], axis=0)
-    tree = centers.tree()
-    return float(np.max(tree.query(samples)[0]))

@@ -212,7 +212,7 @@ def converge(config: ExperimentConfig, *, verbose: bool = False) -> ErrorReport:
             if nu is not None:
                 cs = oversample_boundary(curve, cs, h, nu, config.m)
             grids = scheme_grids(curve, h, nu=nu, n_solver=config.n_solver)
-            apx = assemble_TXi(f, cs, grids, oversample=nu)
+            apx = assemble_TXi(f, cs, grids)
             errors = _norm_errors(
                 config.norms,
                 eval_approximant(apx, probes) - fp,

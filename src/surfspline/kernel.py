@@ -18,10 +18,12 @@ Boundary operators: for a function ``f`` and a unit field ``n``,
     op_k f = (Laplacian^(k/2) f)            for even k,
     op_k f = n . grad (Laplacian^((k-1)/2) f)   for odd k.
 
-``boundary_kernel(params, j, ...)`` applies op_j in the second (source)
-argument of ``phi(x - alpha)``; ``boundary_pair_kernel`` applies one operator
-in each argument.  These are the kernels of the layer potentials and of their
-boundary restrictions.
+``pair_kernel(params, k, j, geom)`` applies op_k in the first and op_j in the
+second (source) argument of ``phi(x - alpha)`` on a block of point pairs whose
+distances and direction cosines ``geom`` (a ``PairGeometry``) holds; these are
+the kernels of the layer potentials, of their one-sided traces and of their
+boundary restrictions, and all of them are evaluated there.
+``boundary_kernel(params, j, ...)`` is its k = 0 case for given points.
 
 Radial profiles are represented exactly as finite sums ``c * r^p * log(r)^e``
 with integer powers ``p`` and ``e in {0, 1}``; this family is closed under the
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,8 +49,9 @@ __all__ = [
     "iterated_laplacian_profile",
     "phi",
     "phi_from_r2",
+    "PairGeometry",
+    "pair_kernel",
     "boundary_kernel",
-    "boundary_pair_kernel",
 ]
 
 #: points closer than this are treated as coincident in scalar kernel calls
@@ -189,13 +193,6 @@ class RadialTerms:
             return 0
         return min(p for _, p, _ in self.terms)
 
-    def eval(self, r: np.ndarray) -> np.ndarray:
-        """Evaluate at radii ``r > 0``."""
-        reg, logc = self.eval_split(r)
-        if np.all(logc == 0.0):
-            return reg
-        return reg + logc * np.log(r)
-
     def eval_split(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(reg, logc)`` with value = reg + logc * log(r).
 
@@ -292,21 +289,6 @@ def phi_from_r2(params: SplineParams, r2: np.ndarray) -> np.ndarray:
     return np.where(r2 > 0.0, out, 0.0)
 
 
-def _direction_factors(x, n_x, alpha, n_alpha, r):
-    """Direction cosines u = n_x.(x-a)/r and v = n_a.(a-x)/r, plus n_x.n_a."""
-    dx = x - alpha
-    u = None
-    v = None
-    ndot = None
-    if n_x is not None:
-        u = (n_x[..., 0] * dx[..., 0] + n_x[..., 1] * dx[..., 1]) / r
-    if n_alpha is not None:
-        v = -(n_alpha[..., 0] * dx[..., 0] + n_alpha[..., 1] * dx[..., 1]) / r
-    if n_x is not None and n_alpha is not None:
-        ndot = n_x[..., 0] * n_alpha[..., 0] + n_x[..., 1] * n_alpha[..., 1]
-    return u, v, ndot
-
-
 def _pair_groups(params: SplineParams, k: int, j: int):
     """Factor groups for the doubly-operated kernel.
 
@@ -333,42 +315,80 @@ def _pair_groups(params: SplineParams, k: int, j: int):
     ]
 
 
-def _pair_eval_split(params, k, j, x, n_x, alpha, n_alpha):
-    """Unrestricted evaluation returning ``(reg, logc)``; value = reg+logc*log r."""
-    x = _as_points(x)
-    alpha = _as_points(alpha)
-    dx = x - alpha
-    r = np.hypot(dx[..., 0], dx[..., 1])
-    if np.any(r <= SINGULAR_TOL):
-        raise SingularEvaluationError("pair kernel evaluated at coincident points")
-    u, v, ndot = _direction_factors(x, n_x, alpha, n_alpha, r)
-    reg = np.zeros_like(r)
-    logc = np.zeros_like(r)
+def _dot(a, b) -> np.ndarray:
+    """Planar dot product over the trailing axis."""
+    a = _as_points(a)
+    b = _as_points(b)
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+class PairGeometry:
+    """Shared geometry of a block of (target ``x``, source ``alpha``) pairs.
+
+    Holds ``r = |x - alpha|`` and, of the direction cosines
+    ``u = n_x.(x-a)/r``, ``v = n_a.(a-x)/r`` and ``ndot = n_x.n_a``, only
+    those that the kernels of ``orders`` (pairs (k, j)) use; ``log r`` is
+    formed on first use.  A block's geometry is computed once and shared by
+    every (k, j) kernel :func:`pair_kernel` evaluates on it.  Shapes
+    broadcast, with points and normals as ``(..., 2)`` arrays.
+    """
+
+    def __init__(self, params: SplineParams, orders, x, alpha, n_x=None, n_alpha=None):
+        dx = _as_points(x) - _as_points(alpha)
+        r = np.hypot(dx[..., 0], dx[..., 1])
+        if np.any(r <= SINGULAR_TOL):
+            raise SingularEvaluationError("pair kernel evaluated at coincident points")
+        tags = {
+            tag
+            for k, j in orders
+            for tag, prof in _pair_groups(params, k, j)
+            if not prof.is_zero
+        }
+        self.r = r
+        self.u = _dot(n_x, dx) / r if tags & {"u", "uv"} else None
+        self.v = -_dot(n_alpha, dx) / r if tags & {"v", "uv"} else None
+        self.ndot = _dot(n_x, n_alpha) if "ndot" in tags else None
+
+    @cached_property
+    def log_r(self) -> np.ndarray:
+        return np.log(self.r)
+
+    def value(self, reg: np.ndarray, logc: np.ndarray) -> np.ndarray:
+        """Kernel value ``reg + logc * log r`` of a split :func:`pair_kernel`."""
+        if np.all(logc == 0.0):
+            return reg
+        return reg + logc * self.log_r
+
+
+def pair_kernel(
+    params: SplineParams, k: int, j: int, geom: PairGeometry
+) -> tuple[np.ndarray, np.ndarray]:
+    """op_k in ``x`` (along n_x) and op_j in ``alpha`` (along n_alpha) of
+    ``phi(x - alpha)`` on a block, split as ``(reg, logc)``.
+
+    The kernel value is ``geom.value(reg, logc) = reg + logc * log r``.  The
+    split is what the singularity-splitting boundary quadrature needs; every
+    boundary kernel in the package is evaluated here.
+    """
+    reg = np.zeros_like(geom.r)
+    logc = np.zeros_like(geom.r)
     for tag, prof in _pair_groups(params, k, j):
         if prof.is_zero:
             continue
-        preg, plog = prof.eval_split(r)
+        preg, plog = prof.eval_split(geom.r)
         if tag == "1":
             fac = 1.0
         elif tag == "u":
-            fac = u
+            fac = geom.u
         elif tag == "v":
-            fac = v
+            fac = geom.v
         elif tag == "uv":
-            fac = u * v
+            fac = geom.u * geom.v
         else:
-            fac = ndot
+            fac = geom.ndot
         reg += preg * fac
         logc += plog * fac
-    return reg, logc, r
-
-
-def _pair_eval(params, k, j, x, n_x, alpha, n_alpha):
-    """Unrestricted kernel value, used for off-boundary (field) evaluation."""
-    reg, logc, r = _pair_eval_split(params, k, j, x, n_x, alpha, n_alpha)
-    if np.all(logc == 0.0):
-        return reg
-    return reg + logc * np.log(r)
+    return reg, logc
 
 
 def _pair_diag(params: SplineParams, k: int, j: int) -> tuple[float, float]:
@@ -391,9 +411,8 @@ def _pair_diag(params: SplineParams, k: int, j: int) -> tuple[float, float]:
                     f"pair ({k},{j}) is too singular for a diagonal limit"
                 )
             a, b = prof.value_at_zero_limit()
-            sgn = 1.0
-            reg0 += sgn * a
-            logc0 += sgn * b
+            reg0 += a
+            logc0 += b
         elif tag in ("u", "v"):
             if mp < 1:
                 raise DomainValidityError(
@@ -418,33 +437,5 @@ def boundary_kernel(params: SplineParams, j: int, x, alpha, n_alpha) -> np.ndarr
         raise DomainValidityError(
             f"boundary operator order must lie in [0, 2m-1], got {j}"
         )
-    x = _as_points(x)
-    alpha = _as_points(alpha)
-    if j % 2 == 0:
-        dx = x - alpha
-        r = np.hypot(dx[..., 0], dx[..., 1])
-        if np.any(r <= SINGULAR_TOL):
-            raise SingularEvaluationError("boundary kernel at coincident points")
-        return iterated_laplacian_profile(params, j // 2).eval(r)
-    n_alpha = _as_points(n_alpha)
-    val = _pair_eval(params, 0, j, x, None, alpha, n_alpha)
-    return val
-
-
-def boundary_pair_kernel(params: SplineParams, k: int, j: int, x, n_x, alpha, n_alpha):
-    """Kernel with one boundary operator in each variable (weakly singular range).
-
-    This is the integrand of the boundary-restricted layer-potential operators
-    and is limited to ``k + j <= 2m - 2``, where the kernel is at worst
-    logarithmically singular; outside that range evaluation on the boundary
-    would be hypersingular and is refused.
-    """
-    if k < 0 or j < 0:
-        raise DomainValidityError("operator orders must be nonnegative")
-    if k + j > 2 * params.m - 2:
-        raise DomainValidityError(
-            f"pair ({k},{j}) exceeds the weakly singular range k+j <= {2*params.m-2}"
-        )
-    n_x = _as_points(n_x) if n_x is not None else None
-    n_alpha = _as_points(n_alpha) if n_alpha is not None else None
-    return _pair_eval(params, k, j, x, n_x, alpha, n_alpha)
+    geom = PairGeometry(params, [(0, j)], x, alpha, n_alpha=n_alpha)
+    return geom.value(*pair_kernel(params, 0, j, geom))

@@ -45,7 +45,7 @@ from .errors import (
     NearBoundaryAccuracyWarning,
 )
 from .geometry import BoundaryGrid, signed_distance
-from .kernel import SplineParams, _pair_eval, _pair_eval_split, _pair_diag, boundary_kernel
+from .kernel import PairGeometry, SplineParams, _pair_diag, pair_kernel
 
 __all__ = [
     "kress_log_weights",
@@ -121,7 +121,9 @@ def nystrom_matrix(params: SplineParams, k: int, j: int, grid: BoundaryGrid) -> 
     eye = np.eye(n, dtype=bool)
     # evaluate on the full grid but fix the diagonal afterwards
     xs = np.where(eye[..., None], x + 1.0, x)  # shift diagonal args off r = 0
-    reg, logc, r = _pair_eval_split(params, k, j, xs, nx, a, na)
+    geom = PairGeometry(params, [(k, j)], xs, a, nx, na)
+    reg, logc = pair_kernel(params, k, j, geom)
+    r = geom.r
     dt = t[:, None] - t[None, :]
     sin2 = 4.0 * np.sin(0.5 * dt) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -155,21 +157,22 @@ def _needed_factor(n: int, dist_param: np.ndarray, max_nodes: int):
 
 
 def _potential_sum(params, joblist, grid, x_pts, n_x=None, chunk: int = 2048):
-    """Sum over (k, j, density) jobs of the operated potentials at x_pts."""
+    """Sum over (k, j, density) jobs of the operated potentials at x_pts.
+
+    Each chunk's pair geometry is computed once and shared by all jobs.
+    """
+    orders = [(k, j) for k, j, _ in joblist]
     npts = x_pts.shape[0]
     out = np.zeros(npts)
     for lo in range(0, npts, chunk):
         hi = min(npts, lo + chunk)
-        xs = x_pts[lo:hi, None, :]
-        nxs = None if n_x is None else n_x[lo:hi, None, :]
-        al = grid.points[None, :, :]
-        nl = grid.normals[None, :, :]
+        geom = PairGeometry(
+            params, orders, x_pts[lo:hi, None, :], grid.points[None, :, :],
+            None if n_x is None else n_x[lo:hi, None, :], grid.normals[None, :, :],
+        )
         acc = np.zeros(hi - lo)
         for k, j, dens in joblist:
-            if k == 0:
-                ker = boundary_kernel(params, j, xs, al, nl)
-            else:
-                ker = _pair_eval(params, k, j, xs, nxs, al, nl)
+            ker = geom.value(*pair_kernel(params, k, j, geom))
             acc += ker @ (grid.weights * dens)
         out[lo:hi] = acc
     return out

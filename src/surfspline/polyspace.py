@@ -26,7 +26,6 @@ __all__ = [
     "poly_gradient",
     "poly_eval",
     "boundary_op_values",
-    "boundary_op_at_point",
     "side_condition_matrix",
 ]
 
@@ -110,10 +109,6 @@ def boundary_op_values(k: int, p: Poly, points, normals=None) -> np.ndarray:
     return nrm[..., 0] * poly_eval(dict(rest[0]), points) + nrm[..., 1] * poly_eval(
         dict(rest[1]), points
     )
-
-
-def boundary_op_at_point(k: int, p: Poly, point, normal=None) -> float:
-    return float(boundary_op_values(k, p, np.asarray(point, dtype=float), normal))
 
 
 @dataclass(frozen=True)

@@ -342,27 +342,29 @@ def assemble_TXi(
     f: TargetFunction,
     centers: CenterSet,
     grids: SchemeGrids,
-    oversample: float | None = None,
 ) -> Approximant:
     """Assemble the quasi-interpolant of f on the given center set.
 
     Interior: A_xi += sum_q w_q a(alpha_q, xi) Delta^m f(alpha_q) over the
     interior rule.  Boundary: A_xi += sum_j sum_i w_i a_j(x_i, xi) N_j f(x_i)
-    over the boundary coefficient grid.  The polynomial part is the one the
-    Dirichlet solve produces, so the operator is linear in f.
+    over the boundary coefficient grid, with reproductions at the boundary
+    spacing ``centers.boundary_spacing`` (h^nu) of an oversampled set and at
+    h otherwise.  The polynomial part is the one the Dirichlet solve
+    produces, so the operator is linear in f.
     """
     params = SplineParams(m=f.m, d=2)
     m = params.m
     M = 2 * m
     X = centers.points
     h = centers.target_h
-    h_local = h if oversample is None else h**oversample
+    oversampled = centers.boundary_spacing is not None
+    h_local = centers.boundary_spacing if oversampled else h
     # the refined boundary zone is only ~2m layers of h_local deep, so the
     # half-neighborhood argument for the larger prefactor does not apply
     # there: a nominal ball matching the zone thickness stays well
     # conditioned, while a 2x one degenerates into a thin slab and
     # triggers locality-destroying growth
-    gamma_boundary = GAMMA_BOUNDARY_DEFAULT if oversample is None else GAMMA_DEFAULT
+    gamma_boundary = GAMMA_DEFAULT if oversampled else GAMMA_BOUNDARY_DEFAULT
     max_radius = 1.5 * grids.curve.diameter()
 
     quad = grids.quadrature

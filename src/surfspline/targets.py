@@ -3,9 +3,8 @@
 A ``TargetFunction`` bundles everything the solver and the approximation
 scheme need to know about a function f: pointwise values, the m-fold
 Laplacian (the interior density of the representation), and the boundary
-traces op_k f for k = 0 .. 2m-1.  Named targets are built symbolically and
-lambdified, so all traces are exact; arbitrary Python callables can be
-wrapped with finite-difference traces as a fallback oracle.
+traces op_k f for k = 0 .. 2m-1.  Targets are built symbolically and
+lambdified, so all traces are exact.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from typing import Callable
 import numpy as np
 import sympy as sp
 
-__all__ = ["TargetFunction", "target_from_expression", "target_from_callable",
-           "named_target", "TARGET_LIBRARY"]
+__all__ = ["TargetFunction", "target_from_expression", "named_target", "TARGET_LIBRARY"]
 
 _X, _Y = sp.symbols("x y", real=True)
 
@@ -35,7 +33,7 @@ def _lambdify(expr):
 
 @dataclass
 class TargetFunction:
-    """Function with exact (or oracle) traces used as approximation target."""
+    """Function with exact traces used as approximation target."""
 
     name: str
     values: Callable
@@ -43,7 +41,6 @@ class TargetFunction:
     _trace_even: dict = field(default_factory=dict)   # k -> callable(points)
     _trace_odd: dict = field(default_factory=dict)    # k -> (fx, fy) callables
     m: int = 2
-    smoothness: str = "smooth"
 
     def __call__(self, points):
         return self.values(points)
@@ -65,8 +62,7 @@ class TargetFunction:
         )
 
 
-def target_from_expression(expr, m: int, name: str | None = None,
-                           smoothness: str = "smooth") -> TargetFunction:
+def target_from_expression(expr, m: int, name: str | None = None) -> TargetFunction:
     """Build a target from a sympy expression (or parseable string) in x, y."""
     if isinstance(expr, sp.Expr):
         # replace any same-named symbols so differentiation sees our x, y
@@ -91,66 +87,6 @@ def target_from_expression(expr, m: int, name: str | None = None,
         _trace_even=even,
         _trace_odd=odd,
         m=m,
-        smoothness=smoothness,
-    )
-
-
-def target_from_callable(fn: Callable, m: int, name: str = "callable",
-                         step: float = 4e-3) -> TargetFunction:
-    """Wrap a plain callable; traces come from nested central differences.
-
-    Fourth-order stencils are used at every level, giving roughly 1e-7
-    absolute accuracy for well-scaled smooth functions; intended as an oracle
-    for cross-checking analytic traces and as a fallback for targets without
-    closed forms.
-    """
-
-    def ev(points):
-        pts = np.asarray(points, dtype=float)
-        return np.asarray(fn(pts), dtype=float)
-
-    def d_lap(g, h):
-        def out(points):
-            pts = np.asarray(points, dtype=float)
-            acc = -60.0 * g(pts)
-            for (dx, dy, w) in [
-                (1, 0, 16.0), (-1, 0, 16.0), (0, 1, 16.0), (0, -1, 16.0),
-                (2, 0, -1.0), (-2, 0, -1.0), (0, 2, -1.0), (0, -2, -1.0),
-            ]:
-                off = np.array([dx * h, dy * h])
-                acc = acc + w * g(pts + off)
-            return acc / (12.0 * h * h)
-        return out
-
-    def d_grad(g, h):
-        def dx(points):
-            pts = np.asarray(points, dtype=float)
-            e = np.array([h, 0.0])
-            return (-g(pts + 2 * e) + 8 * g(pts + e) - 8 * g(pts - e) + g(pts - 2 * e)) / (12 * h)
-        def dy(points):
-            pts = np.asarray(points, dtype=float)
-            e = np.array([0.0, h])
-            return (-g(pts + 2 * e) + 8 * g(pts + e) - 8 * g(pts - e) + g(pts - 2 * e)) / (12 * h)
-        return dx, dy
-
-    even = {0: ev}
-    odd = {}
-    g = ev
-    h = step
-    for k in range(2, 2 * m, 2):
-        g = d_lap(g, h)
-        even[k] = g
-        h *= 1.6  # larger steps deeper in the stencil nest keep noise in check
-    gg = ev
-    h = step
-    for k in range(1, 2 * m, 2):
-        odd[k] = d_grad(gg, h)
-        gg = d_lap(gg, h)
-        h *= 1.6
-    mlap = d_lap(even[2 * m - 2], h) if m >= 1 else ev
-    return TargetFunction(
-        name=name, values=ev, m_laplacian=mlap,
-        _trace_even=even, _trace_odd=odd, m=m,
     )
 
 

@@ -5,12 +5,12 @@ import pytest
 import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from surfspline.errors import DensityUnreachableError, ReachViolationError
 from surfspline.geometry import (
     BoundaryGrid,
     CenterSet,
-    boundary_zone_fill,
     circle,
     curve_from_spec,
     ellipse,
@@ -166,10 +166,21 @@ def test_oversample_layer_depths(disk):
     assert depths.std(axis=1).max() < 1e-12  # exact depth along each layer
 
 
+def _boundary_zone_fill(centers, curve, depth):
+    """Fill distance restricted to the inner tube {0 <= -rho <= depth}."""
+    nb = max(512, int(np.ceil(curve.arclength() / (0.2 * depth))))
+    t = 2 * np.pi * np.arange(nb) / nb
+    gpts = curve.point(t)
+    nrm = curve.normal(t)
+    ds = np.linspace(0.0, depth, 9)
+    samples = np.concatenate([gpts - d * nrm for d in ds], axis=0)
+    return float(np.max(cKDTree(centers.points).query(samples)[0]))
+
+
 def test_oversample_zone_fill(disk):
     base = generate_centers(disk, 0.1, seed=0)
     ov = oversample_boundary(disk, base, 0.1, 2.0, 2)
-    assert boundary_zone_fill(ov, disk, 0.04) <= 0.01
+    assert _boundary_zone_fill(ov, disk, 0.04) <= 0.01
 
 
 def test_oversample_cardinality_nu1(disk):

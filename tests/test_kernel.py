@@ -6,15 +6,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from surfspline.errors import DomainValidityError, SingularEvaluationError
+from surfspline.geometry import BoundaryGrid
 from surfspline.kernel import (
+    PairGeometry,
     SplineParams,
+    _pair_groups,
     boundary_kernel,
-    boundary_pair_kernel,
     fs_constant,
+    iterated_laplacian_profile,
+    pair_kernel,
     phi,
     phi_from_r2,
     phi_profile,
 )
+from surfspline.layerpot import nystrom_matrix
 
 C22 = 1.0 / (8.0 * np.pi)
 
@@ -43,8 +48,9 @@ def test_phi_from_r2_matches_profile(d, rng):
     params = SplineParams(m=2, d=d)
     r = rng.uniform(0.2, 2.0, size=50)
     r = r[np.abs(r - 1.0) > 0.05]  # near r = 1 the log vanishes and rtol means nothing
+    reg, logc = phi_profile(params).eval_split(r)
     np.testing.assert_allclose(
-        phi_from_r2(params, r * r), phi_profile(params).eval(r), rtol=1e-13
+        phi_from_r2(params, r * r), reg + logc * np.log(r), rtol=1e-13
     )
     assert phi_from_r2(params, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
 
@@ -125,11 +131,16 @@ def test_laplacian_kernel_closed_form(params2, rng):
         assert val == pytest.approx(4 * C22 * (np.log(r) + 1), rel=1e-12)
 
 
+def _pair(params, k, j, x, n_x, alpha, n_alpha):
+    geom = PairGeometry(params, [(k, j)], x, alpha, n_x, n_alpha)
+    return geom.value(*pair_kernel(params, k, j, geom))
+
+
 def test_pair_kernel_reduces_to_phi(params2):
     x = np.array([0.9, 0.1])
     alpha = np.array([0.2, -0.3])
     n = np.array([1.0, 0.0])
-    val = boundary_pair_kernel(params2, 0, 0, x[None], n, alpha, n)
+    val = _pair(params2, 0, 0, x[None], n, alpha, n)
     assert np.ravel(val)[0] == pytest.approx(phi(params2, x - alpha), rel=1e-14)
 
 
@@ -142,7 +153,7 @@ def test_pair_kernel_mixed_normals_vs_finite_difference(params2):
     eps = 1e-4
     g = lambda s, t: phi(params2, x + s * n_x - alpha - t * n_alpha)
     fd = (g(eps, eps) - g(eps, -eps) - g(-eps, eps) + g(-eps, -eps)) / (4 * eps**2)
-    val = np.ravel(boundary_pair_kernel(params2, 1, 1, x[None], n_x, alpha, n_alpha))[0]
+    val = np.ravel(_pair(params2, 1, 1, x[None], n_x, alpha, n_alpha))[0]
     assert val == pytest.approx(fd, rel=1e-6)
 
 
@@ -158,8 +169,8 @@ def test_pair_kernel_swap_symmetry(kj, seed):
     x = rng.uniform(-1, 1, size=2)
     alpha = x + rng.uniform(0.3, 1.0) * _unit(rng)
     n_x, n_alpha = _unit(rng), _unit(rng)
-    a = np.ravel(boundary_pair_kernel(params, k, j, x[None], n_x, alpha, n_alpha))[0]
-    b = np.ravel(boundary_pair_kernel(params, j, k, alpha[None], n_alpha, x, n_x))[0]
+    a = np.ravel(_pair(params, k, j, x[None], n_x, alpha, n_alpha))[0]
+    b = np.ravel(_pair(params, j, k, alpha[None], n_alpha, x, n_x))[0]
     assert a == pytest.approx(b, rel=1e-12, abs=1e-14)
 
 
@@ -168,12 +179,103 @@ def _unit(rng):
     return np.array([np.cos(t), np.sin(t)])
 
 
-def test_pair_kernel_rejects_too_singular(params2):
-    # k + j beyond 2m - 2 is not locally integrable and must be refused
-    x = np.array([[0.5, 0.0]])
-    n = np.array([1.0, 0.0])
-    with pytest.raises(DomainValidityError):
-        boundary_pair_kernel(params2, 2, 1, x, n, np.zeros(2), n)
+def test_pair_kernel_rejects_too_singular(params2, disk):
+    # on the boundary, k + j beyond 2m - 2 is not locally integrable, so the
+    # boundary-restricted assembly must refuse it
+    grid = BoundaryGrid.build(disk, 16)
+    for k, j in [(2, 1), (0, 3)]:
+        with pytest.raises(DomainValidityError):
+            nystrom_matrix(params2, k, j, grid)
+
+
+# ---------------------------------------------------------------------------
+# the one evaluator against the per-call kernels it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_pair_split(params, k, j, x, n_x, alpha, n_alpha):
+    """Former pair kernel: geometry and every cosine recomputed per call."""
+    dx = x - alpha
+    r = np.hypot(dx[..., 0], dx[..., 1])
+    u = v = ndot = None
+    if n_x is not None:
+        u = (n_x[..., 0] * dx[..., 0] + n_x[..., 1] * dx[..., 1]) / r
+    if n_alpha is not None:
+        v = -(n_alpha[..., 0] * dx[..., 0] + n_alpha[..., 1] * dx[..., 1]) / r
+    if n_x is not None and n_alpha is not None:
+        ndot = n_x[..., 0] * n_alpha[..., 0] + n_x[..., 1] * n_alpha[..., 1]
+    reg = np.zeros_like(r)
+    logc = np.zeros_like(r)
+    for tag, prof in _pair_groups(params, k, j):
+        if prof.is_zero:
+            continue
+        preg, plog = prof.eval_split(r)
+        if tag == "1":
+            fac = 1.0
+        elif tag == "u":
+            fac = u
+        elif tag == "v":
+            fac = v
+        elif tag == "uv":
+            fac = u * v
+        else:
+            fac = ndot
+        reg += preg * fac
+        logc += plog * fac
+    return reg, logc, r
+
+
+def _oracle_pair(params, k, j, x, n_x, alpha, n_alpha):
+    reg, logc, r = _oracle_pair_split(params, k, j, x, n_x, alpha, n_alpha)
+    if np.all(logc == 0.0):
+        return reg
+    return reg + logc * np.log(r)
+
+
+def _oracle_boundary_kernel(params, j, x, alpha, n_alpha):
+    """Former boundary kernel: a separate radial branch for even orders."""
+    if j % 2:
+        return _oracle_pair(params, 0, j, x, None, alpha, n_alpha)
+    dx = x - alpha
+    r = np.hypot(dx[..., 0], dx[..., 1])
+    reg, logc = iterated_laplacian_profile(params, j // 2).eval_split(r)
+    if np.all(logc == 0.0):
+        return reg
+    return reg + logc * np.log(r)
+
+
+def _units(rng, shape):
+    t = rng.uniform(0, 2 * np.pi, size=shape)
+    return np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("target_normals", [True, False])
+def test_pair_kernel_bitwise_equals_per_call_oracle(m, target_normals):
+    # one geometry shared by every (k, j) on a block gives exactly the values
+    # the per-call kernels computed; without target normals only the orders
+    # that need none (even k) can be evaluated
+    params = SplineParams(m=m, d=2)
+    rng = np.random.default_rng(m + 10 * target_normals)
+    x = rng.uniform(-1.5, 1.5, size=(11, 1, 2))
+    alpha = rng.uniform(-1.0, 1.0, size=(1, 17, 2))
+    n_x = _units(rng, (11, 1)) if target_normals else None
+    n_alpha = _units(rng, (1, 17))
+    ks = range(2 * m) if target_normals else range(0, 2 * m, 2)
+    orders = [(k, j) for k in ks for j in range(2 * m)]
+    geom = PairGeometry(params, orders, x, alpha, n_x, n_alpha)
+    for k, j in orders:
+        reg, logc = pair_kernel(params, k, j, geom)
+        o_reg, o_logc, _ = _oracle_pair_split(params, k, j, x, n_x, alpha, n_alpha)
+        assert np.array_equal(reg, o_reg) and np.array_equal(logc, o_logc), (k, j)
+        assert np.array_equal(
+            geom.value(reg, logc), _oracle_pair(params, k, j, x, n_x, alpha, n_alpha)
+        ), (k, j)
+    for j in range(2 * m):
+        assert np.array_equal(
+            boundary_kernel(params, j, x, alpha, n_alpha),
+            _oracle_boundary_kernel(params, j, x, alpha, n_alpha),
+        ), j
 
 
 def _radial_derivative(params, radii):

@@ -19,7 +19,6 @@ from surfspline.lpr import (
 )
 from surfspline.polyspace import (
     PolyBasis,
-    boundary_op_at_point,
     boundary_op_values,
     monomial_exponents,
 )
@@ -157,7 +156,7 @@ def _loop_build(j, normal, anchor, centers, tree, h, order, *, gamma,
             return best
         idx = np.asarray(tree.query_ball_point(anchor, radius), dtype=int)
         rhs = np.array([
-            boundary_op_at_point(j, {e: 1.0}, np.zeros(2), normal) for e in exps
+            boundary_op_values(j, {e: 1.0}, np.zeros((1, 2)), normal)[0] for e in exps
         ]) * radius ** (-j)
         if idx.size >= len(exps):
             z = (centers[idx] - anchor) / radius
@@ -345,7 +344,7 @@ def test_rank_deficient_support_matches_lstsq(rng):
 
 def test_monomial_rhs_closed_form(rng):
     # the closed form must equal the symbolic operator bit for bit
-    origin = np.zeros(2)
+    origin = np.zeros((1, 2))
     for j in range(4):
         for order in range(5):
             for _ in range(3):
@@ -353,7 +352,7 @@ def test_monomial_rhs_closed_form(rng):
                 normal = np.array([np.cos(t), np.sin(t)])
                 radius = rng.uniform(0.05, 2.0)
                 expected = np.array([
-                    boundary_op_at_point(j, {e: 1.0}, origin, normal)
+                    boundary_op_values(j, {e: 1.0}, origin, normal)[0]
                     for e in monomial_exponents(order)
                 ])
                 assert np.all(_monomial_rhs(order, j, normal, 1.0) == expected)

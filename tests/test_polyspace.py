@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from surfspline.geometry import BoundaryGrid
 from surfspline.polyspace import (
     PolyBasis,
-    boundary_op_at_point,
     boundary_op_values,
     monomial_exponents,
     poly_eval,
@@ -81,16 +80,6 @@ def test_boundary_op_values_orders(grid256):
 def test_boundary_op_odd_requires_normals(grid256):
     with pytest.raises((TypeError, ValueError)):
         boundary_op_values(1, {(1, 0): 1.0}, grid256.points, None)
-
-
-def test_boundary_op_at_point_matches_grid(grid256):
-    p = {(2, 2): 1.5, (1, 0): -1.0}
-    i = 17
-    for k in range(4):
-        normal = grid256.normals[i] if k % 2 else None
-        assert boundary_op_at_point(k, p, grid256.points[i], normal) == pytest.approx(
-            boundary_op_values(k, p, grid256.points, grid256.normals)[i], rel=1e-13
-        )
 
 
 def test_side_condition_matrix_shape_and_rank(grid256):

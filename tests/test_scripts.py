@@ -10,6 +10,20 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _run_script(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -18,15 +32,25 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_exits_cleanly(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = _run_script(argv)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_run_convergence_writes_both_csvs(tmp_path):
+    stem = tmp_path / "out" / "tiny"
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(
+        "[experiment]\n"
+        "curve = disk\n"
+        "target = wave\n"
+        "h_ladder = 0.3 0.25 0.2\n"
+        "probe_grid = 64\n"
+        "quad_level = 16\n"
+        "n_solver = 64\n"
+        f"output = {stem}\n",
+        encoding="utf-8",
+    )
+    proc = _run_script(["run_convergence.py", str(cfg)])
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "tiny.csv").is_file()
+    assert (tmp_path / "out" / "tiny_rates.csv").is_file()

@@ -1,4 +1,5 @@
-"""Target functions: exact traces, m-Laplacians, and the FD fallback oracle."""
+"""Target functions: exact traces and m-Laplacians, checked in part against
+nested finite differences."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,42 @@ import sympy as sp
 from surfspline.targets import (
     TARGET_LIBRARY,
     named_target,
-    target_from_callable,
     target_from_expression,
 )
+
+
+def _fd_laplacian(g, h):
+    """Fourth-order nine-point Laplacian of the callable g at step h."""
+    stencil = [(1, 0, 16.0), (-1, 0, 16.0), (0, 1, 16.0), (0, -1, 16.0),
+               (2, 0, -1.0), (-2, 0, -1.0), (0, 2, -1.0), (0, -2, -1.0)]
+
+    def out(pts):
+        acc = -60.0 * g(pts)
+        for dx, dy, w in stencil:
+            acc = acc + w * g(pts + np.array([dx * h, dy * h]))
+        return acc / (12.0 * h * h)
+
+    return out
+
+
+def _fd_normal_derivative(g, h, pts, nrm):
+    """Fourth-order central difference of g along the unit normals."""
+    grad = []
+    for e in (np.array([h, 0.0]), np.array([0.0, h])):
+        grad.append((-g(pts + 2 * e) + 8 * g(pts + e) - 8 * g(pts - e) + g(pts - 2 * e)) / (12 * h))
+    return nrm[:, 0] * grad[0] + nrm[:, 1] * grad[1]
+
+
+def _fd_traces(fn, pts, nrm, m, step=4e-3):
+    """Traces op_k fn, k = 0 .. 2m-1, from nested stencils; the step grows by
+    1.6 per nesting level to keep the rounding noise in check."""
+    out = []
+    g, h = fn, step
+    for k in range(0, 2 * m, 2):
+        out.append(g(pts))
+        out.append(_fd_normal_derivative(g, h, pts, nrm))
+        g, h = _fd_laplacian(g, h), 1.6 * h
+    return out
 
 
 def test_library_contents():
@@ -78,26 +112,24 @@ def test_expression_accepts_sympy_objects():
 
 
 def test_finite_difference_oracle_matches_exact_traces(grid256):
-    # wrap exp(x) cos(y) as a plain callable and compare all traces k <= 3
-    # against the symbolic target; the FD stencil should agree to ~1e-6
+    # compare all symbolic traces k <= 3 of exp(x) cos(y) against nested
+    # finite differences of the plain function; they should agree to ~1e-6
     exact = named_target("expcos", 2)
-    fd = target_from_callable(
-        lambda p: np.exp(p[..., 0]) * np.cos(p[..., 1]), m=2, name="fd"
-    )
     pts = grid256.points[::8]
     nrm = grid256.normals[::8]
+    fd = _fd_traces(lambda p: np.exp(p[..., 0]) * np.cos(p[..., 1]), pts, nrm, 2)
     for k in range(4):
         a = exact.trace(k, pts, nrm)
-        b = fd.trace(k, pts, nrm)
         scale = np.max(np.abs(a)) + 1.0
-        assert np.max(np.abs(a - b)) / scale < 1e-6, f"trace {k}"
+        assert np.max(np.abs(a - fd[k])) / scale < 1e-6, f"trace {k}"
 
 
 def test_finite_difference_oracle_m_laplacian(rng):
     exact = named_target("gauss", 2)
-    fd = target_from_callable(lambda p: np.exp(-np.sum(p**2, axis=-1)), m=2)
+    g = lambda p: np.exp(-np.sum(p**2, axis=-1))
+    fd = _fd_laplacian(_fd_laplacian(g, 4e-3), 4e-3 * 1.6 * 1.6)
     pts = rng.uniform(-0.6, 0.6, size=(10, 2))
-    a, b = exact.m_laplacian(pts), fd.m_laplacian(pts)
+    a, b = exact.m_laplacian(pts), fd(pts)
     assert np.max(np.abs(a - b)) / np.max(np.abs(a)) < 1e-4
 
 
