@@ -25,7 +25,6 @@ direct LU solution with a step of iterative refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
@@ -34,11 +33,10 @@ from .errors import ResidualToleranceError, SingularSystemError
 from .geometry import BoundaryGrid
 from .kernel import SplineParams
 from .layerpot import layer_potential, nystrom_matrix, one_sided_trace
-from .polyspace import PolyBasis, boundary_op_values, side_condition_matrix
+from .polyspace import PolyBasis
 from .targets import TargetFunction
 
 __all__ = [
-    "BoundarySystem",
     "DirichletSolution",
     "assemble_boundary_system",
     "solve_dirichlet",
@@ -80,38 +78,21 @@ def principal_symbol_matrix(m: int) -> np.ndarray:
     return sigma
 
 
-@dataclass(frozen=True)
-class BoundarySystem:
-    """Assembled bordered collocation system for one grid size."""
-
-    params: SplineParams
-    grid: BoundaryGrid
-    basis: PolyBasis
-    matrix: np.ndarray  # (N + m n) square, unknowns (poly coeffs, densities)
-
-    @property
-    def n_poly(self) -> int:
-        return self.basis.dimension
-
-    def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split a solution vector into (poly coeffs, density rows)."""
-        N = self.n_poly
-        return vec[:N], vec[N:].reshape(self.params.m, self.grid.n)
-
-
-def assemble_boundary_system(params: SplineParams, grid: BoundaryGrid) -> BoundarySystem:
+def assemble_boundary_system(params: SplineParams, grid: BoundaryGrid) -> np.ndarray:
     """Build the bordered matrix [[0, (W P)^T], [P, L]].
 
     L stacks the m x m operator blocks op_k V_j; P holds op_k of the
     polynomial basis at the nodes; W P carries the quadrature weights so the
     top rows impose the discrete moment conditions sum_j <g_j, op_j q> = 0
-    for every basis polynomial q.
+    for every basis polynomial q.  Unknowns are ordered (polynomial
+    coefficients, density rows).
     """
     m, n = params.m, grid.n
-    basis = PolyBasis.for_spline_order(params.m)
+    basis = PolyBasis.for_spline_order(m)
     N = basis.dimension
-    P_blocks = side_condition_matrix(basis, grid, m)  # (m, n, N)
-    P = P_blocks.reshape(m * n, N)
+    P = np.concatenate(
+        [basis.op_values(k, grid.points, grid.normals) for k in range(m)]
+    )
     L = np.empty((m * n, m * n))
     for k in range(m):
         for j in range(m):
@@ -123,7 +104,7 @@ def assemble_boundary_system(params: SplineParams, grid: BoundaryGrid) -> Bounda
     A[:N, N:] = WP.T
     A[N:, :N] = P
     A[N:, N:] = L
-    return BoundarySystem(params=params, grid=grid, basis=basis, matrix=A)
+    return A
 
 
 @dataclass
@@ -137,10 +118,6 @@ class DirichletSolution:
     densities: np.ndarray  # (m, n)
     residual: float
     rcond: float
-
-    @cached_property
-    def polynomial(self):
-        return self.basis.combine(self.poly_coeffs)
 
     def poly_eval(self, points) -> np.ndarray:
         return self.basis.eval(np.atleast_2d(points)) @ self.poly_coeffs
@@ -160,10 +137,8 @@ class DirichletSolution:
     def boundary_trace(self, k: int, side: str = "inside"):
         """One-sided nodal trace of op_k u, including the polynomial part."""
         vals, est = one_sided_trace(self.params, self.densities, self.grid, k, side)
-        vals = vals + boundary_op_values(
-            k, self.polynomial, self.grid.points, self.grid.normals
-        )
-        return vals, est
+        poly = self.basis.op_values(k, self.grid.points, self.grid.normals)
+        return vals + poly @ self.poly_coeffs, est
 
 
 def solve_dirichlet(
@@ -188,9 +163,9 @@ def solve_dirichlet(
     m, n = params.m, grid.n
     if data.shape != (m, n):
         raise ValueError(f"boundary data must have shape {(m, n)}, got {data.shape}")
-    system = assemble_boundary_system(params, grid)
-    A = system.matrix
-    N = system.n_poly
+    A = assemble_boundary_system(params, grid)
+    basis = PolyBasis.for_spline_order(m)
+    N = basis.dimension
     rhs = np.concatenate([np.zeros(N), data.ravel()])
     try:
         lu, piv = lu_factor(A)
@@ -213,13 +188,12 @@ def solve_dirichlet(
         raise SingularSystemError(
             f"condition estimate failed (info={info}, rcond={rcond})"
         )
-    coeffs, dens = system.split(z)
     return DirichletSolution(
         params=params,
-        grid=system.grid,
-        basis=system.basis,
-        poly_coeffs=coeffs,
-        densities=dens,
+        grid=grid,
+        basis=basis,
+        poly_coeffs=z[:N],
+        densities=z[N:].reshape(m, n),
         residual=residual,
         rcond=float(rcond),
     )

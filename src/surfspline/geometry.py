@@ -42,6 +42,14 @@ __all__ = [
     "oversample_boundary",
 ]
 
+#: parameter samples behind the curve's max radius, and behind its arclength
+#: and reach estimate
+_RADIUS_SAMPLES = 2048
+_CURVE_SAMPLES = 4096
+
+#: refinements of the background grid that measures a fill distance
+_FILL_REFINE = 2
+
 
 class DomainCurve:
     """Closed analytic boundary curve, star-shaped about the origin.
@@ -96,20 +104,20 @@ class DomainCurve:
     def polar_radius(self, psi):
         return np.asarray(self._polar(np.asarray(psi, dtype=float)), dtype=float)
 
-    def max_radius(self, samples: int = 2048) -> float:
-        psi = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    def max_radius(self) -> float:
+        psi = np.linspace(0.0, 2 * np.pi, _RADIUS_SAMPLES, endpoint=False)
         return float(np.max(self.polar_radius(psi)))
 
     def diameter(self) -> float:
         return 2.0 * self.max_radius()
 
-    def arclength(self, samples: int = 4096) -> float:
-        t = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    def arclength(self) -> float:
+        t = np.linspace(0.0, 2 * np.pi, _CURVE_SAMPLES, endpoint=False)
         return float(np.mean(self.speed(t)) * 2 * np.pi)
 
-    def reach_estimate(self, samples: int = 4096) -> float:
+    def reach_estimate(self) -> float:
         """Curvature-based lower estimate of the reach (offset validity range)."""
-        t = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+        t = np.linspace(0.0, 2 * np.pi, _CURVE_SAMPLES, endpoint=False)
         kap = np.abs(self.curvature(t))
         return float(1.0 / np.max(kap))
 
@@ -412,7 +420,7 @@ def _interior_samples(curve: DomainCurve, spacing: float) -> np.ndarray:
     return np.vstack([pts, curve.point(tb)])
 
 
-def fill_distance(points, curve: DomainCurve, refine: int = 2) -> float:
+def fill_distance(points, curve: DomainCurve) -> float:
     """Measured fill distance sup_{x in domain} dist(x, points).
 
     Evaluated on a background grid (plus dense boundary samples) that is
@@ -424,7 +432,7 @@ def fill_distance(points, curve: DomainCurve, refine: int = 2) -> float:
     tree = cKDTree(pts)
     spacing = curve.diameter() / 64.0
     h = None
-    for _ in range(refine + 1):
+    for _ in range(_FILL_REFINE + 1):
         samples = _interior_samples(curve, spacing)
         h = float(np.max(tree.query(samples)[0]))
         if spacing <= h / 5.0:

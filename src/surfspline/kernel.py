@@ -330,7 +330,8 @@ class PairGeometry:
     those that the kernels of ``orders`` (pairs (k, j)) use; ``log r`` is
     formed on first use.  A block's geometry is computed once and shared by
     every (k, j) kernel :func:`pair_kernel` evaluates on it.  Shapes
-    broadcast, with points and normals as ``(..., 2)`` arrays.
+    broadcast, with points and normals as ``(..., 2)`` arrays; odd k needs
+    ``n_x`` and odd j needs ``n_alpha``.
     """
 
     def __init__(self, params: SplineParams, orders, x, alpha, n_x=None, n_alpha=None):
@@ -344,6 +345,10 @@ class PairGeometry:
             for tag, prof in _pair_groups(params, k, j)
             if not prof.is_zero
         }
+        if n_x is None and tags & {"u", "uv", "ndot"}:
+            raise ValueError("odd target orders need the target normals n_x")
+        if n_alpha is None and tags & {"v", "uv", "ndot"}:
+            raise ValueError("odd source orders need the source normals n_alpha")
         self.r = r
         self.u = _dot(n_x, dx) / r if tags & {"u", "uv"} else None
         self.v = -_dot(n_alpha, dx) / r if tags & {"v", "uv"} else None

@@ -29,14 +29,13 @@ own support, never on which other anchors share its batch.
 from __future__ import annotations
 
 from itertools import chain
-from math import comb, factorial
 
 import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .errors import NormingFailureError
-from .polyspace import monomial_exponents
+from .polyspace import PolyBasis
 
 __all__ = [
     "GAMMA_DEFAULT",
@@ -78,38 +77,6 @@ _RESIDUAL_TOL = 1e-10
 #: would not fit in memory, while 2^20 entries (8 MB a float array) keeps
 #: the per-batch overhead small next to the solve
 _ENTRY_BUDGET = 1 << 20
-
-
-def _monomial_rhs(order: int, j: int, normals, radius: float) -> np.ndarray:
-    """Value of op_j at the (scaled) anchor on each monomial of Pi_order.
-
-    In anchor-centered coordinates z = (x - alpha)/R the functional op_j
-    picks up a factor R^-j.  At the origin op_j sees only the degree-j
-    monomials: with l = j // 2, Lap^l x^a y^b there is C(l, a/2) a! b! for
-    even a, b, and the x (y) derivative of Lap^l picks the odd a (odd b)
-    terms the same way.  Odd j dots these with the unit normals, given as
-    (..., 2); the result has shape normals.shape[:-1] + (P,), or (P,) for
-    even j.
-    """
-    exps = monomial_exponents(order)
-    l = j // 2
-    tx = np.zeros(len(exps))
-    ty = np.zeros(len(exps))
-    for col, (a, b) in enumerate(exps):
-        if a + b != j:
-            continue
-        value = float(comb(l, a // 2) * factorial(a) * factorial(b))
-        if j % 2 == 0:
-            if a % 2 == 0:
-                tx[col] = value
-        elif a % 2:
-            tx[col] = value
-        else:
-            ty[col] = value
-    if j % 2 == 0:
-        return tx * radius ** (-j)
-    nrm = np.asarray(normals, dtype=float)
-    return (nrm[..., :1] * tx + nrm[..., 1:] * ty) * radius ** (-j)
 
 
 def _min_norm_weights(pts, anchors, radius, exps, rhs):
@@ -185,8 +152,12 @@ def _reproduce(
     tree = cKDTree(centers)
     if max_radius is None:
         max_radius = 4.0 * float(np.max(np.linalg.norm(centers, axis=1))) + 10 * h
-    exps = monomial_exponents(order)
-    P = len(exps)
+    basis = PolyBasis.up_to_degree(order)
+    exps, P = basis.exponents, basis.dimension
+    # in anchor-centred coordinates z = (x - alpha)/R the basis at the anchor
+    # is e_0, so op_j of every monomial there is row 0 of the op_j maps (times
+    # R^-j); odd j still dots the two rows with the anchor's normal
+    op_rows = [op[0] for op in basis.op_maps(j)]
     n = anchors.shape[0]
 
     stab = np.empty(n)
@@ -234,12 +205,12 @@ def _reproduce(
                 sel = group[lo:lo + rows_per_batch]
                 ids = open_[sel]
                 idx = flat[starts[sel, None] + np.arange(K)]
-                rhs = _monomial_rhs(
-                    order, j, None if normals is None else normals[ids], radius
-                )
+                rhs = op_rows[0]
+                if j % 2:
+                    rhs = normals[ids, :1] * op_rows[0] + normals[ids, 1:] * op_rows[1]
                 w, resid, cond = _min_norm_weights(
                     centers[idx], anchors[ids], radius, exps,
-                    np.broadcast_to(rhs, (ids.size, P)),
+                    np.broadcast_to(rhs * radius ** (-j), (ids.size, P)),
                 )
                 mass = np.sum(np.abs(w), axis=1)
                 exact = resid < _RESIDUAL_TOL

@@ -1,35 +1,27 @@
 """Bivariate polynomial spaces and boundary operators acting on them.
 
-Polynomials are represented sparsely as ``{(i, j): coeff}`` dictionaries over
-monomials ``x^i y^j``; Laplacians and gradients are computed exactly on the
-exponents, so the boundary operators
+A polynomial is a coefficient vector over the monomials ``x^i y^j`` of a
+:class:`PolyBasis`.  Differentiation maps that space into itself, so the
+boundary operators
 
     op_0 p = p,   op_k p = Lap^(k/2) p (k even),
     op_k p = n . grad Lap^((k-1)/2) p (k odd)
 
-are evaluated in closed form.  Note the odd operators only *evaluate* the
-normal field (they never differentiate it), so a point and its unit normal
-are all the geometric data required.
+are exact integer matrices on the coefficients.  Note the odd operators only
+*evaluate* the normal field (they never differentiate it), so a point and its
+unit normal are all the geometric data required.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "PolyBasis",
     "monomial_exponents",
-    "poly_laplacian",
-    "poly_gradient",
-    "poly_eval",
-    "boundary_op_values",
-    "side_condition_matrix",
 ]
-
-Poly = dict[tuple[int, int], float]
 
 
 def monomial_exponents(degree: int) -> tuple[tuple[int, int], ...]:
@@ -41,74 +33,6 @@ def monomial_exponents(degree: int) -> tuple[tuple[int, int], ...]:
         for i in range(tot, -1, -1):
             out.append((i, tot - i))
     return tuple(out)
-
-
-def poly_laplacian(p: Poly) -> Poly:
-    out: Poly = {}
-    for (i, j), c in p.items():
-        if i >= 2:
-            key = (i - 2, j)
-            out[key] = out.get(key, 0.0) + c * i * (i - 1)
-        if j >= 2:
-            key = (i, j - 2)
-            out[key] = out.get(key, 0.0) + c * j * (j - 1)
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
-def poly_gradient(p: Poly) -> tuple[Poly, Poly]:
-    gx: Poly = {}
-    gy: Poly = {}
-    for (i, j), c in p.items():
-        if i >= 1:
-            gx[(i - 1, j)] = gx.get((i - 1, j), 0.0) + c * i
-        if j >= 1:
-            gy[(i, j - 1)] = gy.get((i, j - 1), 0.0) + c * j
-    return gx, gy
-
-
-def poly_eval(p: Poly, points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    x = pts[..., 0]
-    y = pts[..., 1]
-    out = np.zeros_like(x)
-    for (i, j), c in p.items():
-        out = out + c * x**i * y**j
-    return out
-
-
-def _op_applied(k: int, p_items: tuple) -> tuple:
-    """Apply the order-k boundary operator symbolically.
-
-    Returns ("even", q) with a plain polynomial, or ("odd", qx, qy) with the
-    two gradient components still to be dotted with a unit normal.
-    """
-    p: Poly = dict(p_items)
-    for _ in range(k // 2):
-        p = poly_laplacian(p)
-    if k % 2 == 0:
-        return ("even", tuple(sorted(p.items())))
-    gx, gy = poly_gradient(p)
-    return ("odd", tuple(sorted(gx.items())), tuple(sorted(gy.items())))
-
-
-@lru_cache(maxsize=4096)
-def _op_applied_cached(k: int, p_items: tuple) -> tuple:
-    return _op_applied(k, p_items)
-
-
-def boundary_op_values(k: int, p: Poly, points, normals=None) -> np.ndarray:
-    """Evaluate op_k p at points (odd k needs the unit normals there)."""
-    if k < 0:
-        raise ValueError("operator order must be nonnegative")
-    tag, *rest = _op_applied_cached(k, tuple(sorted(p.items())))
-    if tag == "even":
-        return poly_eval(dict(rest[0]), points)
-    if normals is None:
-        raise ValueError("odd-order boundary operator requires normals")
-    nrm = np.asarray(normals, dtype=float)
-    return nrm[..., 0] * poly_eval(dict(rest[0]), points) + nrm[..., 1] * poly_eval(
-        dict(rest[1]), points
-    )
 
 
 @dataclass(frozen=True)
@@ -133,9 +57,6 @@ class PolyBasis:
     def dimension(self) -> int:
         return len(self.exponents)
 
-    def polynomials(self) -> list[Poly]:
-        return [{e: 1.0} for e in self.exponents]
-
     def eval(self, points) -> np.ndarray:
         """Vandermonde array of shape points.shape[:-1] + (dimension,)."""
         pts = np.asarray(points, dtype=float)
@@ -144,25 +65,36 @@ class PolyBasis:
         cols = [x**i * y**j for (i, j) in self.exponents]
         return np.stack(cols, axis=-1)
 
-    def combine(self, coeffs) -> Poly:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.dimension,):
-            raise ValueError("coefficient vector has wrong length")
-        return {
-            e: float(c) for e, c in zip(self.exponents, coeffs) if c != 0.0
-        }
+    def op_maps(self, k: int) -> tuple[np.ndarray, ...]:
+        """op_k as exact (dimension x dimension) maps on coefficient vectors.
 
+        Column c holds the coefficients of op_k applied to monomial c.  Even
+        k gives ``(Lap^(k/2),)``; odd k gives the x and y derivatives of
+        Lap^((k-1)/2), still to be dotted with a unit normal.
+        """
+        if k < 0:
+            raise ValueError("operator order must be nonnegative")
+        row = {e: r for r, e in enumerate(self.exponents)}
+        dx = np.zeros((self.dimension, self.dimension))
+        dy = np.zeros_like(dx)
+        for col, (i, j) in enumerate(self.exponents):
+            if i:
+                dx[row[i - 1, j], col] = i
+            if j:
+                dy[row[i, j - 1], col] = j
+        lap = np.linalg.matrix_power(dx @ dx + dy @ dy, k // 2)
+        return (lap,) if k % 2 == 0 else (dx @ lap, dy @ lap)
 
-def side_condition_matrix(basis: PolyBasis, grid, n_ops: int) -> np.ndarray:
-    """Boundary-operator values of the basis on a grid, shape (n_ops, n, N).
+    def op_values(self, k: int, points, normals=None) -> np.ndarray:
+        """op_k of every basis monomial at points, shaped like :meth:`eval`.
 
-    Entry ``[k, i, j]`` is op_k applied to the j-th basis polynomial at the
-    i-th grid node.  Block ``k`` enters the collocation rows of the augmented
-    Dirichlet system directly, and its weighted transpose forms the moment
-    (side-condition) rows.
-    """
-    blocks = np.empty((n_ops, grid.n, basis.dimension))
-    for jcol, p in enumerate(basis.polynomials()):
-        for k in range(n_ops):
-            blocks[k, :, jcol] = boundary_op_values(k, p, grid.points, grid.normals)
-    return blocks
+        Odd k needs the unit normals at the points.
+        """
+        maps = self.op_maps(k)
+        V = self.eval(points)
+        if len(maps) == 1:
+            return V @ maps[0]
+        if normals is None:
+            raise ValueError("odd-order boundary operator requires normals")
+        nrm = np.asarray(normals, dtype=float)
+        return nrm[..., :1] * (V @ maps[0]) + nrm[..., 1:] * (V @ maps[1])

@@ -32,7 +32,7 @@ from .lpr import (
     boundary_reproduction_matrix,
     interior_reproduction_matrix,
 )
-from .polyspace import PolyBasis, boundary_op_values, monomial_exponents, poly_eval
+from .polyspace import PolyBasis
 from .targets import TargetFunction
 
 __all__ = [
@@ -502,13 +502,15 @@ def annihilation_check(ext: ExtensionField) -> float:
     quad = ext.grids.quadrature
     lap = np.asarray(ext.f.m_laplacian(quad.nodes))
     g = ext.grids.boundary
+    basis = PolyBasis.for_spline_order(m)
+    # one contiguous row per monomial, so each dot keeps its summation order
+    values = np.ascontiguousarray(basis.eval(quad.nodes).T)
+    ops = [basis.op_values(jj, g.points, g.normals) for jj in range(m)]
     worst = 0.0
-    for i, j in monomial_exponents(m - 1):
-        mono = {(i, j): 1.0}
-        acc = float(np.dot(quad.weights * lap, poly_eval(mono, quad.nodes)))
+    for col in range(basis.dimension):
+        acc = float(np.dot(quad.weights * lap, values[col]))
         for jj in range(m):
-            lam_q = boundary_op_values(jj, mono, g.points, g.normals)
-            acc += g.integrate(ext.nj_rows[jj] * lam_q)
+            acc += g.integrate(ext.nj_rows[jj] * ops[jj][:, col])
         worst = max(worst, abs(acc))
     return worst
 

@@ -74,6 +74,29 @@ def test_approximate_with_centers_and_report(tmp_path, capsys):
     assert apx.poly_coeffs.shape == (3,)
 
 
+def test_approximate_oversampled_adds_boundary_centers(tmp_path, capsys):
+    # --oversample appends boundary layers to the same seeded lattice, so the
+    # oversampled center set is a strict superset in row count
+    rows = {}
+    for extra in ([], ["--oversample", "2"]):
+        cpath = tmp_path / f"centers{len(extra)}.csv"
+        rc = main(
+            [
+                "approximate",
+                "--h", "0.2",
+                "--n", "64",
+                "--probe-grid", "32",
+                "--output", str(tmp_path / f"apx{len(extra)}.csv"),
+                "--centers", str(cpath),
+                *extra,
+            ]
+        )
+        assert rc == 0
+        assert "max probe error" in capsys.readouterr().out
+        rows[bool(extra)] = len(cpath.read_text(encoding="utf-8").splitlines())
+    assert rows[True] > rows[False]
+
+
 def test_extend_stdout_points_mode(capsys):
     rc = main(
         [

@@ -10,6 +10,7 @@ from surfspline.dirichlet import (
     solve_dirichlet,
 )
 from surfspline.errors import ResidualToleranceError
+from surfspline.polyspace import PolyBasis
 from surfspline.targets import named_target
 from tests.conftest import interior_points
 
@@ -58,9 +59,9 @@ def test_homogeneous_data_gives_zero(grid256, params2, rng):
 def test_solution_moment_conditions(grid256):
     # the bordered rows enforce sum_j <g_j, op_j q> ds = 0 over the tail basis
     params, f, sol = _solve(grid256, "expx")
-    from surfspline.polyspace import side_condition_matrix
-
-    P = side_condition_matrix(sol.basis, grid256, params.m)  # (m, n, N)
+    P = np.stack([
+        sol.basis.op_values(k, grid256.points, grid256.normals) for k in range(params.m)
+    ])  # (m, n, N)
     moments = np.einsum("n,jnk,jn->k", grid256.weights, P, sol.densities)
     scale = np.max(np.abs(sol.densities)) + 1e-30
     assert np.max(np.abs(moments)) / scale < 1e-10
@@ -92,12 +93,13 @@ def test_solver_validates_data_shape(grid256, params2):
 
 
 def test_system_shape(grid256, params2):
-    system = assemble_boundary_system(params2, grid256)
-    n_total = system.n_poly + params2.m * grid256.n
-    assert system.matrix.shape == (n_total, n_total)
-    assert system.n_poly == 3  # degree-1 tail in two variables
+    A = assemble_boundary_system(params2, grid256)
+    n_poly = PolyBasis.for_spline_order(params2.m).dimension
+    n_total = n_poly + params2.m * grid256.n
+    assert A.shape == (n_total, n_total)
+    assert n_poly == 3  # degree-1 tail in two variables
     # top-left block is the zero border
-    assert np.all(system.matrix[: system.n_poly, : system.n_poly] == 0.0)
+    assert np.all(A[:n_poly, :n_poly] == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,22 @@ def test_pair_kernel_rejects_too_singular(params2, disk):
             nystrom_matrix(params2, k, j, grid)
 
 
+def test_pair_geometry_names_missing_normals(params2):
+    # an odd order on either side needs that side's normals: the error must
+    # say which, not fail on indexing a missing array
+    x = np.array([[0.3, 0.1], [0.5, -0.2]])
+    a = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="n_x"):
+        PairGeometry(params2, [(1, 0)], x, a, None, a)
+    with pytest.raises(ValueError, match="n_alpha"):
+        PairGeometry(params2, [(0, 1)], x, a, a, None)
+    with pytest.raises(ValueError, match="n_alpha"):
+        boundary_kernel(params2, 1, x, a, None)
+    # even orders need no normals at all
+    PairGeometry(params2, [(0, 0), (2, 2)], x, a)
+    boundary_kernel(params2, 2, x, a, None)
+
+
 # ---------------------------------------------------------------------------
 # the one evaluator against the per-call kernels it replaced
 # ---------------------------------------------------------------------------

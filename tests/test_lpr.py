@@ -13,15 +13,10 @@ from surfspline.lpr import (
     GAMMA_BOUNDARY_DEFAULT,
     GAMMA_DEFAULT,
     GROWTH_SPAN_DEFAULT,
-    _monomial_rhs,
     boundary_reproduction_matrix,
     interior_reproduction_matrix,
 )
-from surfspline.polyspace import (
-    PolyBasis,
-    boundary_op_values,
-    monomial_exponents,
-)
+from surfspline.polyspace import PolyBasis, monomial_exponents
 from surfspline.scheme import interior_quadrature
 
 
@@ -91,8 +86,8 @@ def test_boundary_functional_reproduction(disk, centers05):
     )
     basis = PolyBasis.up_to_degree(4)
     V = basis.eval(centers05.points)
-    for col, p in enumerate(basis.polynomials()):
-        target = boundary_op_values(1, p, anchor[None], normal[None])[0]
+    targets = basis.op_values(1, anchor[None], normal[None])[0]
+    for col, target in enumerate(targets):
         got = float((B @ V[:, col])[0])
         assert got == pytest.approx(target, abs=2e-9)
 
@@ -147,7 +142,8 @@ def _loop_build(j, normal, anchor, centers, tree, h, order, *, gamma,
                 growth=1.25, residual_tol=1e-10, cond_cap=COND_CAP_DEFAULT,
                 growth_span=GROWTH_SPAN_DEFAULT, max_radius):
     """One anchor at a time: one ball query and one lstsq per radius step."""
-    exps = monomial_exponents(order)
+    basis = PolyBasis.up_to_degree(order)
+    exps = basis.exponents
     radius = gamma * order**2 * h if order else 1e-9 * h
     span_radius = min(max_radius, growth_span * max(radius, 0.25 * h))
     best, worst_resid = None, np.inf
@@ -155,9 +151,7 @@ def _loop_build(j, normal, anchor, centers, tree, h, order, *, gamma,
         if best is not None and radius > span_radius:
             return best
         idx = np.asarray(tree.query_ball_point(anchor, radius), dtype=int)
-        rhs = np.array([
-            boundary_op_values(j, {e: 1.0}, np.zeros((1, 2)), normal)[0] for e in exps
-        ]) * radius ** (-j)
+        rhs = basis.op_values(j, np.zeros((1, 2)), normal)[0] * radius ** (-j)
         if idx.size >= len(exps):
             z = (centers[idx] - anchor) / radius
             V = np.stack([z[:, 0] ** i * z[:, 1] ** k for (i, k) in exps], axis=0)
@@ -327,7 +321,7 @@ def test_rank_deficient_support_matches_lstsq(rng):
     pts = np.stack([t, 0.5 * t + 0.1], axis=-1)
     pts[2, :5] += rng.uniform(-0.3, 0.3, size=(5, 2))  # one full-rank row
     anchors = np.zeros((3, 2))
-    rhs = np.tile(_monomial_rhs(2, 0, None, 0.8), (3, 1))
+    rhs = np.tile(PolyBasis.up_to_degree(2).op_values(0, np.zeros(2)), (3, 1))
     w, resid, cond = lpr._min_norm_weights(pts, anchors, 0.8, exps, rhs)
     for b in range(3):
         z = pts[b] / 0.8
@@ -340,26 +334,6 @@ def test_rank_deficient_support_matches_lstsq(rng):
             assert cond[b] > 1e12
         else:
             assert cond[b] == pytest.approx(sv[0] / sv[-1], rel=1e-10)
-
-
-def test_monomial_rhs_closed_form(rng):
-    # the closed form must equal the symbolic operator bit for bit
-    origin = np.zeros((1, 2))
-    for j in range(4):
-        for order in range(5):
-            for _ in range(3):
-                t = rng.uniform(0, 2 * np.pi)
-                normal = np.array([np.cos(t), np.sin(t)])
-                radius = rng.uniform(0.05, 2.0)
-                expected = np.array([
-                    boundary_op_values(j, {e: 1.0}, origin, normal)[0]
-                    for e in monomial_exponents(order)
-                ])
-                assert np.all(_monomial_rhs(order, j, normal, 1.0) == expected)
-                assert np.all(
-                    _monomial_rhs(order, j, normal, radius)
-                    == expected * radius ** (-j)
-                )
 
 
 def test_reproduction_matrices_with_no_anchors(centers05):
