@@ -49,6 +49,8 @@ __all__ = [
     "iterated_laplacian_profile",
     "phi",
     "phi_from_r2",
+    "TILE_ENTRIES",
+    "tiles",
     "PairGeometry",
     "pair_kernel",
     "boundary_kernel",
@@ -56,6 +58,11 @@ __all__ = [
 
 #: points closer than this are treated as coincident in scalar kernel calls
 SINGULAR_TOL = 1e-12
+
+#: entries (target rows x sources) of one tile of a bulk kernel sum: 2^15
+#: doubles are 256 KB, so a tile's temporaries stay in cache and are reused
+#: from the heap instead of being mapped and page-faulted afresh
+TILE_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -269,24 +276,43 @@ def phi(params: SplineParams, x) -> float:
     return float(phi_from_r2(params, r * r))
 
 
-def phi_from_r2(params: SplineParams, r2: np.ndarray) -> np.ndarray:
+def phi_from_r2(params: SplineParams, r2) -> np.ndarray:
     """Kernel values from squared distances, avoiding the square root.
 
     For even ambient dimension the kernel is C r^(2m-d) log r, an integer
     power of r^2 times half a log of r^2; zero distances map to the
-    continuous limit 0.  This is the workhorse for bulk evaluation where
-    r^2 comes straight out of a matrix product.
+    continuous limit 0.  The value is formed in place, in the operation
+    order ``(c * r2**p) * log(r2)`` that fixes its bits; scalars give 0-d
+    arrays.
     """
-    if params.d % 2:
-        r = np.sqrt(r2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = fs_constant(params.m, params.d) * r ** (2 * params.m - params.d)
-        return out
-    p = params.m - params.d // 2
-    c = 0.5 * fs_constant(params.m, params.d)
+    r2 = np.asarray(r2, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = c * r2**p * np.log(r2)
-    return np.where(r2 > 0.0, out, 0.0)
+        if params.d % 2:
+            out = np.asarray(np.sqrt(r2) ** (2 * params.m - params.d))
+            out *= fs_constant(params.m, params.d)
+            return out
+        out = np.asarray(r2 ** (params.m - params.d // 2))
+        out *= 0.5 * fs_constant(params.m, params.d)
+        out *= np.log(r2)
+    out[~(r2 > 0.0)] = 0.0
+    return out
+
+
+def tiles(n_rows: int, n_sources: int, entries: int | None = None):
+    """Row ranges ``(lo, hi)`` of the tiles of a bulk kernel sum.
+
+    A tile holds about ``entries`` (default :data:`TILE_ENTRIES`) kernel
+    values: its step is that budget over ``n_sources``, rounded down to a
+    multiple of 8 and at least 8 rows, and the remainder joins the last full
+    tile.  BLAS mat-vecs give a call's trailing rows their own bits, so
+    steps of 8 and a single ragged tail keep every row's value independent
+    of the tiling, and equal to a single call's.
+    """
+    budget = TILE_ENTRIES if entries is None else entries
+    step = max(8, budget // max(n_sources, 1) // 8 * 8)
+    n_tiles = max(1, n_rows // step) if n_rows > 0 else 0
+    for t in range(n_tiles):
+        yield t * step, n_rows if t == n_tiles - 1 else (t + 1) * step
 
 
 def _pair_groups(params: SplineParams, k: int, j: int):

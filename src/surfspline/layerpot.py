@@ -45,7 +45,7 @@ from .errors import (
     NearBoundaryAccuracyWarning,
 )
 from .geometry import BoundaryGrid, signed_distance
-from .kernel import PairGeometry, SplineParams, _pair_diag, pair_kernel
+from .kernel import PairGeometry, SplineParams, _pair_diag, pair_kernel, tiles
 
 __all__ = [
     "kress_log_weights",
@@ -156,24 +156,24 @@ def _needed_factor(n: int, dist_param: np.ndarray, max_nodes: int):
     return factors.astype(int)
 
 
-def _potential_sum(params, joblist, grid, x_pts, n_x=None, chunk: int = 2048):
+def _potential_sum(params, joblist, grid, x_pts, n_x=None):
     """Sum over (k, j, density) jobs of the operated potentials at x_pts.
 
-    Each chunk's pair geometry is computed once and shared by all jobs.
+    The targets are cut into :func:`~surfspline.kernel.tiles` against the
+    grid's nodes; each tile's pair geometry is computed once and shared by
+    all jobs, and a target's value does not depend on the tiling.
     """
     orders = [(k, j) for k, j, _ in joblist]
-    npts = x_pts.shape[0]
-    out = np.zeros(npts)
-    for lo in range(0, npts, chunk):
-        hi = min(npts, lo + chunk)
+    charges = [(k, j, grid.weights * dens) for k, j, dens in joblist]
+    out = np.zeros(x_pts.shape[0])
+    for lo, hi in tiles(x_pts.shape[0], grid.n):
         geom = PairGeometry(
             params, orders, x_pts[lo:hi, None, :], grid.points[None, :, :],
             None if n_x is None else n_x[lo:hi, None, :], grid.normals[None, :, :],
         )
         acc = np.zeros(hi - lo)
-        for k, j, dens in joblist:
-            ker = geom.value(*pair_kernel(params, k, j, geom))
-            acc += ker @ (grid.weights * dens)
+        for k, j, charge in charges:
+            acc += geom.value(*pair_kernel(params, k, j, geom)) @ charge
         out[lo:hi] = acc
     return out
 

@@ -165,8 +165,11 @@ def _reproduce(
     accepted = np.zeros(n, dtype=bool)
     worst_resid = np.full(n, np.inf)
     # exact but ill-conditioned candidates: the lightest one per anchor is
-    # kept while the ball keeps growing; its entries are tagged by step
+    # kept while the ball keeps growing; its entries are tagged by step.  The
+    # balls are nested, so a candidate with the kept one's support size has
+    # its support and its weights, and only a larger support may replace it
     best_stab = np.full(n, np.inf)
+    best_size = np.zeros(n, dtype=np.intp)
     best_radius = np.empty(n)
     best_step = np.full(n, -1)
     empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
@@ -215,7 +218,7 @@ def _reproduce(
                 mass = np.sum(np.abs(w), axis=1)
                 exact = resid < _RESIDUAL_TOL
                 ok = exact & (cond <= cond_cap)
-                better = exact & ~ok & (mass < best_stab[ids])
+                better = exact & ~ok & (K > best_size[ids]) & (mass < best_stab[ids])
                 worst_resid[ids] = np.fmin(worst_resid[ids], resid)
                 done[sel] = ok
                 accepted[ids[ok]] = True
@@ -224,6 +227,7 @@ def _reproduce(
                 entries.append((np.repeat(ids[ok], K), idx[ok].ravel(), w[ok].ravel()))
                 if better.any():
                     best_stab[ids[better]] = mass[better]
+                    best_size[ids[better]] = K
                     best_radius[ids[better]] = radius
                     best_step[ids[better]] = step
                     candidates.append((

@@ -24,7 +24,7 @@ import numpy as np
 from .dirichlet import compute_Nj
 from .errors import StarShapeError
 from .geometry import BoundaryGrid, CenterSet, DomainCurve, signed_distance
-from .kernel import SplineParams, boundary_kernel, phi_from_r2
+from .kernel import SplineParams, boundary_kernel, phi_from_r2, tiles
 from .layerpot import _neville_limit, layer_potential, trig_upsample
 from .lpr import (
     GAMMA_BOUNDARY_DEFAULT,
@@ -54,13 +54,16 @@ __all__ = [
 
 
 def _phi_matrix(params: SplineParams, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """phi(|x_i - xi_j|) as an (n_x, n_xi) block via the Gram expansion."""
-    r2 = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(xi * xi, axis=1)[None, :]
-        - 2.0 * (x @ xi.T)
-    )
-    np.maximum(r2, 0.0, out=r2)
+    """phi(|x_i - xi_j|) as an (n_x, n_xi) block.
+
+    r^2 is formed from coordinate differences, (x - xi_x)^2 + (y - xi_y)^2,
+    so each entry depends only on its own pair and never on the block.
+    """
+    r2 = np.subtract.outer(x[:, 0], xi[:, 0])
+    r2 *= r2
+    dy = np.subtract.outer(x[:, 1], xi[:, 1])
+    dy *= dy
+    r2 += dy
     return phi_from_r2(params, r2)
 
 
@@ -322,19 +325,20 @@ class Approximant:
         )
 
 
-def eval_approximant(apx: Approximant, points, chunk_entries: int = 30_000_000):
-    """Evaluate the kernel expansion; chunked so the distance matrix stays
-    within a fixed memory budget."""
+def eval_approximant(apx: Approximant, points, chunk_entries: int | None = None):
+    """Evaluate the kernel expansion at ``points``.
+
+    The kernel sum runs over :func:`~surfspline.kernel.tiles` of the points
+    against the centers, with ``chunk_entries`` as the tile budget (default
+    :data:`~surfspline.kernel.TILE_ENTRIES`); a point's value does not
+    depend on the budget.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = apx.poly_eval(pts)
-    n_c = apx.centers.shape[0]
-    if n_c:
-        step = max(64, int(chunk_entries // max(n_c, 1)))
-        for lo in range(0, pts.shape[0], step):
-            blk = pts[lo : lo + step]
-            out[lo : lo + blk.shape[0]] += (
-                _phi_matrix(apx.params, blk, apx.centers) @ apx.coefficients
-            )
+    if apx.centers.shape[0]:
+        for lo, hi in tiles(pts.shape[0], apx.centers.shape[0], chunk_entries):
+            ker = _phi_matrix(apx.params, pts[lo:hi], apx.centers)
+            out[lo:hi] += ker @ apx.coefficients
     return out if np.asarray(points).ndim > 1 else float(out[0])
 
 
@@ -566,12 +570,10 @@ def error_kernel_norms(
     )
     phi_Xp = _phi_matrix(params, X, probes)  # (n_centers, n_probes)
     acc = np.zeros(probes.shape[0])
-    chunk = 4096
-    for lo in range(0, len(quad), chunk):
-        sl = slice(lo, min(lo + chunk, len(quad)))
-        exact = _phi_matrix(params, quad.nodes[sl], probes)
-        repl = A[sl] @ phi_Xp
-        acc += quad.weights[sl] @ np.abs(exact - repl)
+    for lo, hi in tiles(len(quad), probes.shape[0]):
+        exact = _phi_matrix(params, quad.nodes[lo:hi], probes)
+        exact -= A[lo:hi] @ phi_Xp
+        acc += quad.weights[lo:hi] @ np.abs(exact, out=exact)
     out = {"interior": float(np.max(acc)), "boundary": {}}
 
     for j in (0, 1):

@@ -154,3 +154,20 @@ def test_multilayer_densities_linear(disk):
     rc, _ = compute_Nj(params, grid, combo)
     scale = np.max(np.abs(rc))
     assert np.max(np.abs(rc - (ra + 3 * rb))) / scale < 1e-4
+
+
+def test_multilayer_densities_independent_of_tiles(disk, monkeypatch):
+    # the one-sided traces sum the kernel over 8-row tiles by default and
+    # over a 32-row and a 48-row tile here; every row keeps its bits
+    from surfspline import kernel
+    from surfspline.geometry import BoundaryGrid
+    from surfspline.kernel import SplineParams
+
+    grid = BoundaryGrid.build(disk, 80)
+    params = SplineParams(m=2, d=2)
+    f = named_target("wave", 2)
+    rows, sol = compute_Nj(params, grid, f)
+    monkeypatch.setattr(kernel, "TILE_ENTRIES", 3 * 2**15)
+    rows_wide, sol_wide = compute_Nj(params, grid, f)
+    np.testing.assert_array_equal(rows_wide, rows)
+    np.testing.assert_array_equal(sol_wide.densities, sol.densities)

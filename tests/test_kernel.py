@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from surfspline.errors import DomainValidityError, SingularEvaluationError
 from surfspline.geometry import BoundaryGrid
 from surfspline.kernel import (
+    TILE_ENTRIES,
     PairGeometry,
     SplineParams,
     _pair_groups,
@@ -18,6 +19,7 @@ from surfspline.kernel import (
     phi,
     phi_from_r2,
     phi_profile,
+    tiles,
 )
 from surfspline.layerpot import nystrom_matrix
 
@@ -53,6 +55,34 @@ def test_phi_from_r2_matches_profile(d, rng):
         phi_from_r2(params, r * r), reg + logc * np.log(r), rtol=1e-13
     )
     assert phi_from_r2(params, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    # scalars are accepted, and give the bits of the same entry of an array
+    assert float(phi_from_r2(params, r[3] ** 2)) == phi_from_r2(params, r * r)[3]
+    if d == 2:
+        # the operation order (c * r2**p) * log(r2) is kept bit for bit
+        r2 = np.concatenate([r * r, [0.0]])
+        c = 0.5 * fs_constant(2, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            oracle = np.where(r2 > 0.0, c * r2**1 * np.log(r2), 0.0)
+        np.testing.assert_array_equal(phi_from_r2(params, r2), oracle)
+
+
+@pytest.mark.parametrize(
+    "n_rows, n_sources, entries",
+    [(0, 10, None), (5, 10, None), (80, 2560, None), (300, 147, 1000),
+     (300, 147, 56 * 147), (51_040, 221, None), (9, 16384, None)],
+)
+def test_tiles_cover_rows_in_steps_of_eight(n_rows, n_sources, entries):
+    bounds = list(tiles(n_rows, n_sources, entries))
+    budget = TILE_ENTRIES if entries is None else entries
+    step = max(8, budget // n_sources // 8 * 8)
+    assert [lo for lo, _ in bounds] == list(range(0, step * len(bounds), step))
+    assert [hi for _, hi in bounds[:-1]] == [lo for lo, _ in bounds[1:]]
+    if n_rows:
+        # the ragged remainder joins the last full tile
+        assert bounds[-1][1] == n_rows
+        assert step <= bounds[-1][1] - bounds[-1][0] < 2 * step or len(bounds) == 1
+    else:
+        assert bounds == []
 
 
 def test_singular_evaluation_raises(params2):

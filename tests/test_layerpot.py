@@ -108,6 +108,24 @@ def test_layer_potential_near_boundary_warning(params2, disk):
         )
 
 
+def test_layer_potential_independent_of_tiles(params2, disk, monkeypatch):
+    # nine points 0.006 inside the rim all need the 64-fold upsampled grid;
+    # the ragged ninth row shares the last tile and keeps a single call's bits
+    from surfspline import kernel
+
+    grid = BoundaryGrid.build(disk, 128)
+    t = np.linspace(0.0, 2 * np.pi, 9, endpoint=False) + 0.2
+    pts = 0.994 * np.stack([np.cos(t), np.sin(t)], axis=-1)
+    density = np.cos(3 * grid.t) + 0.5
+    for j in (0, 1):
+        tiled = layer_potential(params2, j, grid, density, pts)
+        with monkeypatch.context() as mp:
+            mp.setattr(kernel, "TILE_ENTRIES", 2**24)
+            np.testing.assert_array_equal(
+                layer_potential(params2, j, grid, density, pts), tiled
+            )
+
+
 def test_layer_potential_discrete_bilaplacian_vanishes(params2, grid256):
     # potentials are polyharmonic away from the charged boundary
     density = np.cos(2 * grid256.t)

@@ -141,7 +141,12 @@ def test_reproduction_matrix_stacks_rows(centers05, rng):
 def _loop_build(j, normal, anchor, centers, tree, h, order, *, gamma,
                 growth=1.25, residual_tol=1e-10, cond_cap=COND_CAP_DEFAULT,
                 growth_span=GROWTH_SPAN_DEFAULT, max_radius):
-    """One anchor at a time: one ball query and one lstsq per radius step."""
+    """One anchor at a time: one ball query and one lstsq per radius step.
+
+    An ill-conditioned candidate replaces the kept one only on a larger
+    support: the balls are nested, so an equal count means the same support
+    and the same weights, and the first radius that reached it is kept.
+    """
     basis = PolyBasis.up_to_degree(order)
     exps = basis.exponents
     radius = gamma * order**2 * h if order else 1e-9 * h
@@ -163,7 +168,7 @@ def _loop_build(j, normal, anchor, centers, tree, h, order, *, gamma,
                 rep = (idx, w, radius, float(np.sum(np.abs(w))))
                 if cond <= cond_cap:
                     return rep
-                if best is None or rep[3] < best[3]:
+                if best is None or (idx.size > best[0].size and rep[3] < best[3]):
                     best = rep
             worst_resid = min(worst_resid, resid)
         radius = radius * growth if order else max(radius * growth, 0.25 * h)
@@ -240,6 +245,22 @@ def test_batched_ill_conditioned_path_matches_loop(centers05, rng):
     assert np.any(out[2] > nominal)
     _assert_matches_loop(
         out, _loop_matrix(0, anchors, [None] * 12, X, 0.05, 4,
+                          gamma=GAMMA_DEFAULT, cond_cap=1.0)
+    )
+
+
+def test_batched_ill_conditioned_ties_keep_first_radius(disk, centers10):
+    # at cond_cap = 1 every anchor grows to the end of its span, and where a
+    # ball of radius 1.22 already holds every center of the unit disk, the
+    # step to 1.53 sees the same support and the same weights: the first
+    # radius that reached it is reported, not the one rounding favours
+    nodes = interior_quadrature(disk, 20).nodes
+    anchors = nodes[np.random.default_rng(0).choice(len(nodes), 300, replace=False)]
+    X = centers10.points
+    out = interior_reproduction_matrix(anchors, X, 0.1, 4, cond_cap=1.0)
+    assert np.count_nonzero(out[2] > 1.2) > 50
+    _assert_matches_loop(
+        out, _loop_matrix(0, anchors, [None] * len(anchors), X, 0.1, 4,
                           gamma=GAMMA_DEFAULT, cond_cap=1.0)
     )
 

@@ -212,8 +212,89 @@ def test_eval_approximant_chunked_consistent(disk, assembly, rng):
     apx = assemble_TXi(named_target("gauss", 2), centers, grids)
     pts = rng.uniform(-0.6, 0.6, size=(300, 2))
     full = eval_approximant(apx, pts)
-    chunked = eval_approximant(apx, pts, chunk_entries=1000)
-    np.testing.assert_allclose(chunked, full, rtol=0, atol=1e-13)
+    # budgets of 8 and 56 rows a tile: neither step divides the 300 points
+    for budget in (1000, 56 * len(centers)):
+        assert 300 % max(8, budget // len(centers) // 8 * 8)
+        np.testing.assert_array_equal(eval_approximant(apx, pts, chunk_entries=budget), full)
+
+
+def _gram_eval(apx, points, chunk_entries=30_000_000):
+    """The Gram-expansion evaluator kept as an oracle: r^2 from the squared
+    norms minus 2 x.xi, clamped at zero, in blocks of up to 30M entries."""
+    from surfspline.kernel import phi_from_r2
+
+    out = apx.poly_eval(points)
+    step = max(64, int(chunk_entries // apx.centers.shape[0]))
+    for lo in range(0, points.shape[0], step):
+        x = points[lo : lo + step]
+        r2 = (
+            np.sum(x * x, axis=1)[:, None]
+            + np.sum(apx.centers**2, axis=1)[None, :]
+            - 2.0 * (x @ apx.centers.T)
+        )
+        np.maximum(r2, 0.0, out=r2)
+        out[lo : lo + x.shape[0]] += phi_from_r2(apx.params, r2) @ apx.coefficients
+    return out
+
+
+@pytest.mark.parametrize("nu", [None, 2.0])
+def test_eval_approximant_matches_gram_oracle(disk, nu):
+    # the kernel sum cancels heavily, so the gap is measured against the
+    # absolute sum it rounds: 1e-14 of sum_xi |A_xi| |phi(x - xi)|
+    from surfspline.geometry import oversample_boundary
+    from surfspline.kernel import phi_from_r2
+
+    centers = generate_centers(disk, 0.1, seed=0)
+    if nu is not None:
+        centers = oversample_boundary(disk, centers, 0.1, nu, 2)
+    apx = assemble_TXi(named_target("wave", 2), centers, scheme_grids(disk, 0.1, nu=nu))
+    probes = probe_points(disk, 64, 0.0)
+    mass = np.concatenate([
+        np.abs(phi_from_r2(apx.params, np.sum((p[:, None] - apx.centers) ** 2, axis=-1)))
+        @ np.abs(apx.coefficients)
+        for p in np.array_split(probes, 16)
+    ])
+    gap = np.abs(eval_approximant(apx, probes) - _gram_eval(apx, probes))
+    assert np.all(gap <= 1e-14 * mass)
+
+
+def test_bulk_kernel_blocks_stay_tile_sized(disk, params2, monkeypatch):
+    # no block of the approximant's kernel sum or of compute_Nj's potential
+    # sums may exceed two tiles' worth of entries (a tile is at least 8 rows)
+    from surfspline import kernel, layerpot, scheme
+    from surfspline.dirichlet import compute_Nj
+
+    blocks = []
+    phi_matrix = scheme._phi_matrix
+
+    def recording_phi_matrix(params, x, xi):
+        blocks.append((x.shape[0], xi.shape[0]))
+        return phi_matrix(params, x, xi)
+
+    class RecordingGeometry(layerpot.PairGeometry):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            blocks.append(self.r.shape)
+
+    monkeypatch.setattr(scheme, "_phi_matrix", recording_phi_matrix)
+    monkeypatch.setattr(layerpot, "PairGeometry", RecordingGeometry)
+    probes = probe_points(disk, 256, 0.0)
+    centers = generate_centers(disk, 0.08, seed=0).points
+    assert (len(probes), len(centers)) == (51_040, 221)
+    apx = Approximant(
+        params=params2,
+        centers=centers,
+        coefficients=np.random.default_rng(0).standard_normal(len(centers)),
+        basis=PolyBasis.for_spline_order(2),
+        poly_coeffs=np.zeros(3),
+    )
+    eval_approximant(apx, probes)
+    assert sum(r for r, _ in blocks) == len(probes)
+    n_eval = len(blocks)
+    compute_Nj(params2, BoundaryGrid.build(disk, 80), named_target("wave", 2))
+    assert len(blocks) > n_eval
+    for rows, sources in blocks:
+        assert rows * sources <= 2 * max(kernel.TILE_ENTRIES, 8 * sources)
 
 
 def test_eval_approximant_degenerate_center_sets(params2, rng):
