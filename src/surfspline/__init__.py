@@ -46,7 +46,7 @@ from .harness import (
     oversampling_budget,
 )
 from .kernel import SplineParams, fs_constant, phi, phi_from_r2
-from .layerpot import layer_potential
+from .layerpot import TraceMaps, layer_potential
 from .lpr import (
     boundary_reproduction_matrix,
     interior_reproduction_matrix,
@@ -91,6 +91,7 @@ __all__ = [
     "named_target",
     "target_from_expression",
     "layer_potential",
+    "TraceMaps",
     "DirichletSolution",
     "solve_dirichlet",
     "compute_Nj",

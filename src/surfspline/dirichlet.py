@@ -24,7 +24,7 @@ direct LU solution with a step of iterative refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
@@ -32,7 +32,7 @@ from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from .errors import ResidualToleranceError, SingularSystemError
 from .geometry import BoundaryGrid
 from .kernel import SplineParams
-from .layerpot import layer_potential, nystrom_matrix, one_sided_trace
+from .layerpot import TraceMaps, layer_potential, nystrom_matrix, one_sided_trace
 from .polyspace import PolyBasis
 from .targets import TargetFunction
 
@@ -118,6 +118,9 @@ class DirichletSolution:
     densities: np.ndarray  # (m, n)
     residual: float
     rcond: float
+    #: largest last extrapolation correction of the inside traces that
+    #: :func:`compute_Nj` took of this solution (NaN until it has)
+    trace_estimate: float = float("nan")
 
     def poly_eval(self, points) -> np.ndarray:
         return self.basis.eval(np.atleast_2d(points)) @ self.poly_coeffs
@@ -203,6 +206,7 @@ def compute_Nj(
     params: SplineParams,
     grid: BoundaryGrid,
     f: TargetFunction,
+    traces: TraceMaps | None = None,
 ) -> tuple[np.ndarray, DirichletSolution]:
     """Boundary source densities of the multilayer representation of ``f``.
 
@@ -214,17 +218,27 @@ def compute_Nj(
         N_j f = g_j + (-1)^(j+1) * (op_{2m-1-j} f - op_{2m-1-j} u|_inside),
 
     where g_j is the solved layer density and the inner trace of u is taken
-    by one-sided extrapolation.  Returns the (m, n) density array together
-    with the underlying Dirichlet solution (whose polynomial part completes
-    the representation).
+    by one-sided extrapolation.  ``traces`` are the default
+    :class:`~surfspline.layerpot.TraceMaps` of ``grid``, which depend on the
+    grid only, so a caller that solves on one grid many times builds them
+    once; without them they are built here.  Returns the (m, n) density
+    array together with the underlying Dirichlet solution (whose polynomial
+    part completes the representation, and whose ``trace_estimate`` holds
+    the largest extrapolation correction of the inner traces).
     """
     m = params.m
+    if traces is None:
+        traces = TraceMaps(params, grid)
+    traces.check(params, grid)
     sol = solve_dirichlet(params, grid, f.boundary_data(grid))
     rows = np.empty((m, grid.n))
+    est_max = 0.0
     for j in range(m):
         k = 2 * m - 1 - j
         lam_f = f.trace(k, grid.points, grid.normals)
-        lam_u, _ = sol.boundary_trace(k, "inside")
+        vals, est = traces.apply(k, sol.densities)
+        lam_u = vals + sol.basis.op_values(k, grid.points, grid.normals) @ sol.poly_coeffs
+        est_max = max(est_max, float(np.max(est)))
         sign = -1.0 if j % 2 == 0 else 1.0
         rows[j] = sol.densities[j] + sign * (lam_f - lam_u)
-    return rows, sol
+    return rows, replace(sol, trace_estimate=est_max)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .geometry import curve_from_spec, generate_centers, oversample_boundary
 from .kernel import SplineParams
+from .layerpot import TraceMaps
 from .scheme import (
     assemble_TXi,
     eval_approximant,
@@ -190,21 +191,29 @@ def converge(config: ExperimentConfig, *, verbose: bool = False) -> ErrorReport:
     Each rung regenerates centers at its fill distance (plus optional
     boundary oversampling), assembles the quasi-interpolant, and measures
     the requested norms: the sup norm over a fixed clipped probe grid, the
-    1- and 2-norms by a fixed interior quadrature.  A rung that raises is
-    recorded with its failure annotation and the remaining rungs still run,
-    so partial reports always come out.  Rates are least-squares slopes of
-    log error against log measured fill over the last three clean rungs.
+    1- and 2-norms by a fixed interior quadrature; the approximant is
+    evaluated only on the point sets the requested norms use.  Every rung
+    solves on the same boundary grid, so the first rung builds its trace
+    maps and every rung applies them.  A rung that raises is recorded with
+    its failure annotation and the remaining rungs still run, so partial
+    reports always come out.  Rates are least-squares slopes of log error
+    against log measured fill over the last three clean rungs.
     """
     curve = curve_from_spec(config.curve)
     f = named_target(config.target, config.m)
+    params = SplineParams(m=config.m, d=2)
     nu = config.resolved_nu()
 
-    probes = probe_points(curve, config.probe_grid, 0.0)
-    fp = f(probes)
-    quad = interior_quadrature(curve, config.quad_level)
-    fq = f(quad.nodes)
+    probes = fp = quad = fq = None
+    if "inf" in config.norms:
+        probes = probe_points(curve, config.probe_grid, 0.0)
+        fp = f(probes)
+    if {"1", "2"} & set(config.norms):
+        quad = interior_quadrature(curve, config.quad_level)
+        fq = f(quad.nodes)
 
     report = ErrorReport(config=config)
+    traces = None
     for h in config.h_ladder:
         t0 = time.perf_counter()
         try:
@@ -212,12 +221,14 @@ def converge(config: ExperimentConfig, *, verbose: bool = False) -> ErrorReport:
             if nu is not None:
                 cs = oversample_boundary(curve, cs, h, nu, config.m)
             grids = scheme_grids(curve, h, nu=nu, n_solver=config.n_solver)
-            apx = assemble_TXi(f, cs, grids)
+            if traces is None:
+                traces = TraceMaps(params, grids.boundary)
+            apx = assemble_TXi(f, cs, grids, traces)
             errors = _norm_errors(
                 config.norms,
-                eval_approximant(apx, probes) - fp,
+                None if probes is None else eval_approximant(apx, probes) - fp,
                 quad,
-                eval_approximant(apx, quad.nodes) - fq,
+                None if quad is None else eval_approximant(apx, quad.nodes) - fq,
             )
             rung = RungResult(
                 h=h,

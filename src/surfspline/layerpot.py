@@ -52,6 +52,7 @@ __all__ = [
     "trig_upsample",
     "nystrom_matrix",
     "layer_potential",
+    "TraceMaps",
     "one_sided_trace",
     "jump_check",
 ]
@@ -156,25 +157,20 @@ def _needed_factor(n: int, dist_param: np.ndarray, max_nodes: int):
     return factors.astype(int)
 
 
-def _potential_sum(params, joblist, grid, x_pts, n_x=None):
-    """Sum over (k, j, density) jobs of the operated potentials at x_pts.
+def _potential_sum(params, j, grid, density, x_pts):
+    """V_j density at x_pts by the grid's trapezoid rule.
 
     The targets are cut into :func:`~surfspline.kernel.tiles` against the
-    grid's nodes; each tile's pair geometry is computed once and shared by
-    all jobs, and a target's value does not depend on the tiling.
+    grid's nodes, and a target's value does not depend on the tiling.
     """
-    orders = [(k, j) for k, j, _ in joblist]
-    charges = [(k, j, grid.weights * dens) for k, j, dens in joblist]
-    out = np.zeros(x_pts.shape[0])
+    charge = grid.weights * density
+    out = np.empty(x_pts.shape[0])
     for lo, hi in tiles(x_pts.shape[0], grid.n):
         geom = PairGeometry(
-            params, orders, x_pts[lo:hi, None, :], grid.points[None, :, :],
-            None if n_x is None else n_x[lo:hi, None, :], grid.normals[None, :, :],
+            params, [(0, j)], x_pts[lo:hi, None, :], grid.points[None, :, :],
+            n_alpha=grid.normals[None, :, :],
         )
-        acc = np.zeros(hi - lo)
-        for k, j, charge in charges:
-            acc += geom.value(*pair_kernel(params, k, j, geom)) @ charge
-        out[lo:hi] = acc
+        out[lo:hi] = geom.value(*pair_kernel(params, 0, j, geom)) @ charge
     return out
 
 
@@ -210,7 +206,7 @@ def layer_potential(
         sel = factors == f
         sub = BoundaryGrid.build(grid.curve, grid.n * int(f)) if f > 1 else grid
         dens = trig_upsample(density, sub.n) if f > 1 else density
-        out[sel] = _potential_sum(params, [(0, j, dens)], sub, pts[sel])
+        out[sel] = _potential_sum(params, j, sub, dens, pts[sel])
     if scalar_in:
         return float(out[0])
     return out
@@ -241,6 +237,113 @@ def _neville_limit(deltas: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np
     return table[0], est
 
 
+def _check_densities(densities, slots, n: int) -> np.ndarray:
+    densities = np.atleast_2d(np.asarray(densities, dtype=float))
+    if densities.shape != (len(slots), n):
+        raise ValueError("densities must have shape (len(slots), n)")
+    return densities
+
+
+class TraceMaps:
+    """One-sided boundary traces of layer potentials as linear maps on one grid.
+
+    For each order k in ``ks``, ``value[k]`` maps the stacked densities (row
+    s charging the potential of order ``slots[s]``) to the nodal limit of
+    op_k sum_s V_slots[s] g_s on ``side``, and ``correction[k]`` maps them
+    to the last correction of that limit's extrapolation; both are
+    n x (len(slots) * n).  The defaults are the inside traces of the top
+    orders k = 2m-1-j, j < m, of the multilayer arrangement, which
+    :func:`~surfspline.dirichlet.compute_Nj` applies.
+
+    The limit is taken along the normal-offset ladder of five offsets
+    ``min(5 * spacing, reach) / 2**r``, with the densities upsampled 32-fold,
+    and extrapolated polynomially to offset zero.  Every step is linear, so
+    the build sums the kernel over :func:`~surfspline.kernel.tiles` of the
+    nodes, with one pair geometry per tile and offset shared by every
+    (k, slot) kernel, combines the offsets with the Neville weights, and
+    contracts once with the weighted upsampling: the adjoint of
+    :func:`trig_upsample`, applied by FFT row by row, so that a node's row
+    does not depend on the tiling.
+    """
+
+    def __init__(
+        self,
+        params: SplineParams,
+        grid: BoundaryGrid,
+        *,
+        side: str = "inside",
+        ks: tuple[int, ...] | None = None,
+        slots: tuple[int, ...] | None = None,
+    ):
+        if side not in ("inside", "outside"):
+            raise ValueError("side must be 'inside' or 'outside'")
+        m, n = params.m, grid.n
+        ks = tuple(2 * m - 1 - j for j in range(m)) if ks is None else tuple(ks)
+        slots = tuple(range(m)) if slots is None else tuple(slots)
+        if any(not 0 <= j <= 2 * m - 1 for j in slots):
+            raise ValueError("potential orders must lie in 0 .. 2m-1")
+        self.params, self.grid, self.side, self.slots = params, grid, side, slots
+        spacing = 2 * np.pi * float(np.max(grid.speed)) / n
+        sgn = -1.0 if side == "inside" else 1.0
+        n_f = max(n, (min(n * 32, _MAX_NODES) // 2) * 2)
+        fine = BoundaryGrid.build(grid.curve, n_f) if n_f != n else grid
+        # on a coarse grid five spacings can exceed the curve's size, and the
+        # inside offsets would leave the domain; the reach bounds the first one
+        first = min(5.0 * spacing, grid.curve.reach_estimate())
+        deltas = first / 2.0 ** np.arange(5)
+        # Neville weights of the limit and of its last correction, which is
+        # the five-offset limit minus the limit of the first four offsets
+        limit = _neville_limit(deltas, np.eye(5))[0]
+        last = limit - np.append(_neville_limit(deltas[:4], np.eye(4))[0], 0.0)
+        orders = [(k, j) for k in ks for j in slots]
+        maps = np.empty((2, len(ks), n, len(slots), n))
+        for lo, hi in tiles(n, n_f):
+            acc = np.zeros((2, len(orders), hi - lo, n_f))
+            for d, c_limit, c_last in zip(deltas, limit, last):
+                x = grid.points[lo:hi] + sgn * d * grid.normals[lo:hi]
+                geom = PairGeometry(
+                    params, orders, x[:, None, :], fine.points[None, :, :],
+                    grid.normals[lo:hi, None, :], fine.normals[None, :, :],
+                )
+                for o, (k, j) in enumerate(orders):
+                    ker = geom.value(*pair_kernel(params, k, j, geom))
+                    acc[0, o] += c_limit * ker
+                    acc[1, o] += c_last * ker
+            acc *= fine.weights
+            coarse = np.fft.irfft(np.fft.rfft(acc, axis=-1)[..., : n // 2 + 1], n, axis=-1)
+            maps[:, :, lo:hi] = coarse.reshape(2, len(ks), len(slots), hi - lo, n).swapaxes(2, 3)
+        maps = maps.reshape(2, len(ks), n, len(slots) * n)
+        self.value = dict(zip(ks, maps[0]))
+        self.correction = dict(zip(ks, maps[1]))
+
+    def check(self, params: SplineParams, grid: BoundaryGrid) -> None:
+        """Raise ValueError unless these maps belong to ``params`` on ``grid``."""
+        same_grid = grid is self.grid or (
+            grid.n == self.grid.n
+            and np.array_equal(grid.points, self.grid.points)
+            and np.array_equal(grid.normals, self.grid.normals)
+        )
+        if params != self.params or not same_grid:
+            raise ValueError("trace maps were built for another spline order or boundary grid")
+
+    def apply(self, k: int, densities) -> tuple[np.ndarray, np.ndarray]:
+        """Nodal trace of op_k for these densities and its error estimate.
+
+        Returns the extrapolated values and the magnitude of the last
+        extrapolation correction; raises when that correction does not settle
+        relative to the trace magnitude.
+        """
+        g = _check_densities(densities, self.slots, self.grid.n).ravel()
+        limit = self.value[k] @ g
+        est = np.abs(self.correction[k] @ g)
+        scale = max(float(np.max(np.abs(limit))), 1e-30)
+        if float(np.max(est)) > 0.05 * max(scale, 1.0):
+            raise ExtrapolationDivergenceError(
+                f"offset ladder did not stabilize: est {float(np.max(est)):.3e} vs scale {scale:.3e}"
+            )
+        return limit, est
+
+
 def one_sided_trace(
     params: SplineParams,
     densities: np.ndarray,
@@ -254,46 +357,18 @@ def one_sided_trace(
 
     By default row s of ``densities`` charges the potential of order s (the
     multilayer arrangement uses orders ``0 .. m-1``); pass explicit ``slots``
-    for other combinations.  Evaluates along the normal-offset ladder of five
-    offsets ``min(5 * spacing, reach) / 2**r`` on the requested side, with
-    the densities upsampled 32-fold, and extrapolates polynomially to offset
-    zero.  Returns the extrapolated nodal values and an error estimate (the
-    magnitude of the last extrapolation correction).  Raises when the ladder
-    fails to stabilize relative to the trace magnitude.
+    for other combinations.  Builds the :class:`TraceMaps` of order k on the
+    requested side and applies them: returns the extrapolated nodal values
+    and an error estimate (the magnitude of the last extrapolation
+    correction), and raises when the ladder fails to stabilize relative to
+    the trace magnitude.
     """
-    if side not in ("inside", "outside"):
-        raise ValueError("side must be 'inside' or 'outside'")
     densities = np.atleast_2d(np.asarray(densities, dtype=float))
     if slots is None:
         slots = tuple(range(densities.shape[0]))
-    if densities.shape != (len(slots), grid.n):
-        raise ValueError("densities must have shape (len(slots), n)")
-    if any(not 0 <= j <= 2 * params.m - 1 for j in slots):
-        raise ValueError("potential orders must lie in 0 .. 2m-1")
-    spacing = 2 * np.pi * float(np.max(grid.speed)) / grid.n
-    sgn = -1.0 if side == "inside" else 1.0
-    n_f = min(grid.n * 32, _MAX_NODES)
-    n_f = max(grid.n, (n_f // 2) * 2)
-    fine = BoundaryGrid.build(grid.curve, n_f) if n_f != grid.n else grid
-    jobs = [
-        (k, j, trig_upsample(densities[s], n_f))
-        for s, j in enumerate(slots)
-    ]
-    # on a coarse grid five spacings can exceed the curve's size, and the
-    # inside offsets would leave the domain; the reach bounds the first one
-    first = min(5.0 * spacing, grid.curve.reach_estimate())
-    deltas = first / 2.0 ** np.arange(5)
-    vals = np.empty((len(deltas), grid.n))
-    for r, d in enumerate(deltas):
-        x_r = grid.points + sgn * d * grid.normals
-        vals[r] = _potential_sum(params, jobs, fine, x_r, n_x=grid.normals)
-    limit, est = _neville_limit(deltas, vals)
-    scale = max(float(np.max(np.abs(limit))), 1e-30)
-    if float(np.max(est)) > 0.05 * max(scale, 1.0):
-        raise ExtrapolationDivergenceError(
-            f"offset ladder did not stabilize: est {float(np.max(est)):.3e} vs scale {scale:.3e}"
-        )
-    return limit, est
+    _check_densities(densities, slots, grid.n)
+    maps = TraceMaps(params, grid, side=side, ks=(k,), slots=slots)
+    return maps.apply(k, densities)
 
 
 def jump_check(

@@ -25,7 +25,7 @@ from .dirichlet import compute_Nj
 from .errors import StarShapeError
 from .geometry import BoundaryGrid, CenterSet, DomainCurve, signed_distance
 from .kernel import SplineParams, boundary_kernel, phi_from_r2, tiles
-from .layerpot import _neville_limit, layer_potential, trig_upsample
+from .layerpot import TraceMaps, _neville_limit, layer_potential, trig_upsample
 from .lpr import (
     GAMMA_BOUNDARY_DEFAULT,
     GAMMA_DEFAULT,
@@ -346,6 +346,7 @@ def assemble_TXi(
     f: TargetFunction,
     centers: CenterSet,
     grids: SchemeGrids,
+    traces: TraceMaps | None = None,
 ) -> Approximant:
     """Assemble the quasi-interpolant of f on the given center set.
 
@@ -354,7 +355,9 @@ def assemble_TXi(
     over the boundary coefficient grid, with reproductions at the boundary
     spacing ``centers.boundary_spacing`` (h^nu) of an oversampled set and at
     h otherwise.  The polynomial part is the one the Dirichlet solve
-    produces, so the operator is linear in f.
+    produces, so the operator is linear in f.  ``traces`` are the trace maps
+    of ``grids.boundary`` that :func:`~surfspline.dirichlet.compute_Nj`
+    applies; they are built there when not given.
     """
     params = SplineParams(m=f.m, d=2)
     m = params.m
@@ -378,7 +381,7 @@ def assemble_TXi(
     lap = np.asarray(f.m_laplacian(quad.nodes))
     coeffs = A_int.T @ (quad.weights * lap)
 
-    nj_rows, solution = compute_Nj(params, grids.boundary, f)
+    nj_rows, solution = compute_Nj(params, grids.boundary, f, traces)
     bn = grids.boundary_nodes
     stab_b = {}
     for j in range(m):
@@ -405,6 +408,7 @@ def assemble_TXi(
             "n_quadrature": len(quad),
             "n_boundary_nodes": bn.n,
             "solver_rcond": solution.rcond,
+            "trace_estimate_max": solution.trace_estimate,
         },
     )
 
@@ -568,27 +572,39 @@ def error_kernel_norms(
     A, _, _ = interior_reproduction_matrix(
         quad.nodes, X, h, M, gamma=GAMMA_DEFAULT, max_radius=max_radius
     )
-    phi_Xp = _phi_matrix(params, X, probes)  # (n_centers, n_probes)
-    acc = np.zeros(probes.shape[0])
-    for lo, hi in tiles(len(quad), probes.shape[0]):
-        exact = _phi_matrix(params, quad.nodes[lo:hi], probes)
-        exact -= A[lo:hi] @ phi_Xp
-        acc += quad.weights[lo:hi] @ np.abs(exact, out=exact)
-    out = {"interior": float(np.max(acc)), "boundary": {}}
-
-    for j in (0, 1):
-        B, _, _ = boundary_reproduction_matrix(
+    Bs = [
+        boundary_reproduction_matrix(
             j, bg.points, bg.normals, X, h, M,
             gamma=GAMMA_BOUNDARY_DEFAULT, max_radius=max_radius,
-        )
-        exact = boundary_kernel(
-            params, j, probes[:, None, :], bg.points[None, :, :], bg.normals[None, :, :]
-        )  # (n_probes, n_b)
-        repl = (B @ phi_Xp).T  # (n_probes, n_b)
-        out["boundary"][j] = float(
-            np.max(np.abs(exact - repl) @ bg.weights)
-        )
-    return out
+        )[0]
+        for j in (0, 1)
+    ]
+    # every block runs over tiles of the probes: the centers' kernel columns
+    # phi_XP, the interior sums against them over tiles of the quadrature,
+    # and the boundary kernels (probes x boundary nodes).  The rows of A are
+    # cut once per probe-tile width (a full tile's and the ragged last one's)
+    quad_tiles = {}
+    interior = np.zeros(probes.shape[0])
+    boundary = np.zeros((2, probes.shape[0]))
+    for lo, hi in tiles(probes.shape[0], max(X.shape[0], bg.n)):
+        P = probes[lo:hi]
+        phi_XP = _phi_matrix(params, X, P)  # (n_centers, tile)
+        if hi - lo not in quad_tiles:
+            quad_tiles[hi - lo] = [(a, b, A[a:b]) for a, b in tiles(len(quad), hi - lo)]
+        for qlo, qhi, A_rows in quad_tiles[hi - lo]:
+            exact = _phi_matrix(params, quad.nodes[qlo:qhi], P)
+            exact -= A_rows @ phi_XP
+            interior[lo:hi] += quad.weights[qlo:qhi] @ np.abs(exact, out=exact)
+        for j, B in enumerate(Bs):
+            exact = boundary_kernel(
+                params, j, P[:, None, :], bg.points[None, :, :], bg.normals[None, :, :]
+            )  # (tile, n_b)
+            exact -= (B @ phi_XP).T
+            boundary[j, lo:hi] = np.abs(exact, out=exact) @ bg.weights
+    return {
+        "interior": float(np.max(interior)),
+        "boundary": {j: float(np.max(boundary[j])) for j in (0, 1)},
+    }
 
 
 def boundary_support_is_local(curve: DomainCurve, h: float, M: int) -> bool:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from surfspline.geometry import BoundaryGrid, circle, ellipse
-from surfspline.kernel import SplineParams
+from surfspline.kernel import PairGeometry, SplineParams, pair_kernel
+from surfspline.layerpot import _neville_limit, trig_upsample
 
 settings.register_profile(
     "default",
@@ -50,3 +51,27 @@ def interior_points(curve, n, rng, margin=0.1):
         keep = r < curve.polar_radius(theta) - margin
         out.extend(cand[keep])
     return np.asarray(out[:n])
+
+
+def direct_trace(params, densities, grid, k, side, slots):
+    """The per-density offset ladder that ``one_sided_trace`` ran before the
+    trace maps: at each offset, the potentials of the upsampled densities
+    summed at the offset nodes, then the Neville limit and its last
+    correction (not checked for divergence)."""
+    sgn = -1.0 if side == "inside" else 1.0
+    n_f = (min(grid.n * 32, 16384) // 2) * 2
+    fine = BoundaryGrid.build(grid.curve, n_f)
+    charges = [
+        (j, fine.weights * trig_upsample(densities[s], n_f)) for s, j in enumerate(slots)
+    ]
+    spacing = 2 * np.pi * float(np.max(grid.speed)) / grid.n
+    deltas = min(5.0 * spacing, grid.curve.reach_estimate()) / 2.0 ** np.arange(5)
+    vals = np.empty((len(deltas), grid.n))
+    for r, d in enumerate(deltas):
+        x = grid.points + sgn * d * grid.normals
+        geom = PairGeometry(
+            params, [(k, j) for j, _ in charges], x[:, None, :], fine.points[None],
+            grid.normals[:, None, :], fine.normals[None],
+        )
+        vals[r] = sum(geom.value(*pair_kernel(params, k, j, geom)) @ c for j, c in charges)
+    return _neville_limit(deltas, vals)

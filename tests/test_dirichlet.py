@@ -12,7 +12,7 @@ from surfspline.dirichlet import (
 from surfspline.errors import ResidualToleranceError
 from surfspline.polyspace import PolyBasis
 from surfspline.targets import named_target
-from tests.conftest import interior_points
+from tests.conftest import direct_trace, interior_points
 
 
 def _solve(grid, name):
@@ -171,3 +171,54 @@ def test_multilayer_densities_independent_of_tiles(disk, monkeypatch):
     rows_wide, sol_wide = compute_Nj(params, grid, f)
     np.testing.assert_array_equal(rows_wide, rows)
     np.testing.assert_array_equal(sol_wide.densities, sol.densities)
+
+
+def test_multilayer_densities_match_the_direct_ladder(disk):
+    # the inner traces of u from the trace maps against the per-density
+    # offset ladder, kept in tests/conftest.py as the oracle
+    from surfspline.geometry import BoundaryGrid
+    from surfspline.kernel import SplineParams
+
+    grid = BoundaryGrid.build(disk, 80)
+    params = SplineParams(m=2, d=2)
+    f = named_target("wave", 2)
+    rows, sol = compute_Nj(params, grid, f)
+    estimates = []
+    for j in range(params.m):
+        k = 2 * params.m - 1 - j
+        vals, est = direct_trace(params, sol.densities, grid, k, "inside", (0, 1))
+        lam_u = vals + sol.basis.op_values(k, grid.points, grid.normals) @ sol.poly_coeffs
+        sign = -1.0 if j % 2 == 0 else 1.0
+        expect = sol.densities[j] + sign * (f.trace(k, grid.points, grid.normals) - lam_u)
+        assert np.max(np.abs(rows[j] - expect)) <= 1e-12 * np.max(np.abs(expect))
+        estimates.append(np.max(est))
+    assert sol.trace_estimate == pytest.approx(max(estimates), rel=1e-9)
+    assert sol.trace_estimate > 0.0
+
+
+def test_compute_Nj_with_shared_trace_maps_equals_a_fresh_build(disk):
+    from surfspline.geometry import BoundaryGrid
+    from surfspline.kernel import SplineParams
+    from surfspline.layerpot import TraceMaps
+
+    params = SplineParams(m=2, d=2)
+    maps = TraceMaps(params, BoundaryGrid.build(disk, 64))
+    for name in ("wave", "gauss"):
+        grid = BoundaryGrid.build(disk, 64)
+        rows, sol = compute_Nj(params, grid, named_target(name, 2), maps)
+        fresh_rows, fresh_sol = compute_Nj(params, grid, named_target(name, 2))
+        np.testing.assert_array_equal(rows, fresh_rows)
+        np.testing.assert_array_equal(sol.densities, fresh_sol.densities)
+        assert sol.trace_estimate == fresh_sol.trace_estimate
+
+
+def test_compute_Nj_refuses_trace_maps_of_another_grid(disk, ell21):
+    from surfspline.geometry import BoundaryGrid
+    from surfspline.kernel import SplineParams
+    from surfspline.layerpot import TraceMaps
+
+    params = SplineParams(m=2, d=2)
+    maps = TraceMaps(params, BoundaryGrid.build(disk, 16))
+    for grid in (BoundaryGrid.build(disk, 32), BoundaryGrid.build(ell21, 16)):
+        with pytest.raises(ValueError):
+            compute_Nj(params, grid, named_target("wave", 2), maps)

@@ -192,6 +192,48 @@ def test_converge_partial_report_on_failing_rungs():
     assert "," not in lines[1].split("ReachViolationError")[1]  # CSV-safe annotation
 
 
+@pytest.mark.parametrize("norms", [("inf",), ("2",)])
+def test_converge_builds_trace_maps_once_and_evaluates_what_its_norms_need(
+    monkeypatch, norms
+):
+    # one trace-map build per ladder, one compute_Nj per rung, and the
+    # approximant evaluated on the probes only for inf and on the quadrature
+    # only for 1 and 2
+    from surfspline import harness, layerpot, scheme
+    from surfspline.geometry import circle
+
+    calls = {"maps": 0, "compute_Nj": 0}
+    evaluated = []
+
+    class CountingMaps(layerpot.TraceMaps):
+        def __init__(self, *args, **kwargs):
+            calls["maps"] += 1
+            super().__init__(*args, **kwargs)
+
+    def counting_compute_Nj(*args, real=scheme.compute_Nj):
+        calls["compute_Nj"] += 1
+        return real(*args)
+
+    def counting_eval(apx, points, real=harness.eval_approximant):
+        evaluated.append(len(points))
+        return real(apx, points)
+
+    monkeypatch.setattr(harness, "TraceMaps", CountingMaps)
+    monkeypatch.setattr(scheme, "compute_Nj", counting_compute_Nj)
+    monkeypatch.setattr(harness, "eval_approximant", counting_eval)
+    cfg = ExperimentConfig(
+        curve="disk", target="wave", h_ladder=(0.3, 0.25, 0.2), norms=norms,
+        probe_grid=64, quad_level=16, n_solver=64,
+    )
+    report = converge(cfg)
+    assert all(r.ok and set(r.errors) == set(norms) for r in report.rungs)
+    assert calls == {"maps": 1, "compute_Nj": 3}
+    n_probes = len(harness.probe_points(circle(1.0), 64, 0.0))
+    n_quad = len(harness.interior_quadrature(circle(1.0), 16))
+    assert n_probes != n_quad
+    assert evaluated == [n_probes if norms == ("inf",) else n_quad] * 3
+
+
 # ---------------------------------------------------------------------------
 # representation identity check
 # ---------------------------------------------------------------------------

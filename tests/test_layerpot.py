@@ -5,9 +5,10 @@ import pytest
 import scipy.integrate
 
 from surfspline.errors import ExtrapolationDivergenceError, NearBoundaryAccuracyWarning
-from surfspline.geometry import BoundaryGrid
+from surfspline.geometry import BoundaryGrid, curve_from_spec
 from surfspline.kernel import SplineParams, boundary_kernel
 from surfspline.layerpot import (
+    TraceMaps,
     _neville_limit,
     jump_check,
     kress_log_weights,
@@ -16,6 +17,7 @@ from surfspline.layerpot import (
     one_sided_trace,
     trig_upsample,
 )
+from tests.conftest import direct_trace
 
 # ---------------------------------------------------------------------------
 # log-splitting quadrature and trigonometric interpolation
@@ -298,3 +300,41 @@ def test_jump_relation_single_slot(params2, disk):
     # top-order trace of V_0 jumps by (-1)^(0+1) g = -g across the boundary
     grid = BoundaryGrid.build(disk, 128)
     assert jump_check(params2, 0, np.cos(grid.t), grid) < 5e-3
+
+
+# ---------------------------------------------------------------------------
+# trace maps against the per-density offset ladder
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["disk", "ellipse:1.3,0.8"])
+@pytest.mark.parametrize("n", [16, 80, 128])
+def test_trace_maps_match_the_direct_ladder(params2, spec, n):
+    grid = BoundaryGrid.build(curve_from_spec(spec), n)
+    dens = np.stack([np.cos(grid.t) + 0.3 * np.sin(3 * grid.t), 0.5 - np.sin(2 * grid.t)])
+    for side in ("inside", "outside"):
+        maps = TraceMaps(params2, grid, side=side, ks=(0, 1, 2, 3))
+        for k in range(4):
+            ref, ref_est = direct_trace(params2, dens, grid, k, side, (0, 1))
+            tol = 1e-12 * np.max(np.abs(ref))
+            np.testing.assert_allclose(maps.value[k] @ dens.ravel(), ref, rtol=0, atol=tol)
+            np.testing.assert_allclose(
+                np.abs(maps.correction[k] @ dens.ravel()), ref_est, rtol=0, atol=tol
+            )
+
+
+def test_trace_maps_default_to_the_multilayer_inside_traces(params2, disk):
+    maps = TraceMaps(params2, BoundaryGrid.build(disk, 16))
+    assert (maps.side, maps.slots, sorted(maps.value)) == ("inside", (0, 1), [2, 3])
+    assert maps.value[3].shape == maps.correction[3].shape == (16, 32)
+
+
+def test_trace_maps_refuse_another_grid(params2, disk):
+    grid = BoundaryGrid.build(disk, 16)
+    maps = TraceMaps(params2, grid)
+    maps.check(params2, BoundaryGrid.build(disk, 16))  # same nodes, new object
+    for other in (BoundaryGrid.build(disk, 32), BoundaryGrid.build(curve_from_spec("ellipse:1.3,0.8"), 16)):
+        with pytest.raises(ValueError):
+            maps.check(params2, other)
+    with pytest.raises(ValueError):
+        maps.check(SplineParams(m=3, d=2), grid)

@@ -414,6 +414,75 @@ def test_error_kernel_norms_structure(disk, params2):
     assert all(v > 0 for v in out["boundary"].values())
 
 
+def _whole_block_error_kernel_norms(params, curve, centers):
+    """``error_kernel_norms`` as it formed its blocks before the probe tiles:
+    the centers' kernel against all probes, and the boundary kernels of all
+    probes, each as one block."""
+    from surfspline import scheme
+    from surfspline.kernel import boundary_kernel
+    from surfspline.lpr import (
+        GAMMA_BOUNDARY_DEFAULT,
+        GAMMA_DEFAULT,
+        boundary_reproduction_matrix,
+        interior_reproduction_matrix,
+    )
+
+    M, X, h = 2 * params.m, centers.points, centers.target_h
+    max_radius = 1.5 * curve.diameter()
+    bg = BoundaryGrid.build(curve, max(64, int(np.ceil(curve.arclength() / (0.5 * h))) // 2 * 2))
+    depths = h * np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+    depths = depths[depths < 0.45 * curve.reach_estimate()]
+    probes = np.concatenate(
+        [probe_points(curve, 48, 0.02)] + [bg.points - t * bg.normals for t in depths]
+    )
+    quad = interior_quadrature(curve, max(16, int(np.ceil(curve.diameter() / h))))
+    A, _, _ = interior_reproduction_matrix(
+        quad.nodes, X, h, M, gamma=GAMMA_DEFAULT, max_radius=max_radius
+    )
+    phi_Xp = scheme._phi_matrix(params, X, probes)
+    exact = scheme._phi_matrix(params, quad.nodes, probes) - A @ phi_Xp
+    out = {"interior": float(np.max(quad.weights @ np.abs(exact))), "boundary": {}}
+    for j in (0, 1):
+        B, _, _ = boundary_reproduction_matrix(
+            j, bg.points, bg.normals, X, h, M,
+            gamma=GAMMA_BOUNDARY_DEFAULT, max_radius=max_radius,
+        )
+        exact = boundary_kernel(
+            params, j, probes[:, None, :], bg.points[None, :, :], bg.normals[None, :, :]
+        )
+        out["boundary"][j] = float(np.max(np.abs(exact - (B @ phi_Xp).T) @ bg.weights))
+    return out
+
+
+def test_error_kernel_norms_match_whole_blocks_in_tile_sized_blocks(disk, params2, monkeypatch):
+    from surfspline import kernel, scheme
+
+    cs = generate_centers(disk, 0.1, seed=0)
+    ref = _whole_block_error_kernel_norms(params2, disk, cs)
+    blocks = []
+    phi_matrix, kernel_fn = scheme._phi_matrix, scheme.boundary_kernel
+
+    def recording_phi_matrix(params, x, xi):
+        blocks.append((x.shape[0], xi.shape[0]))
+        return phi_matrix(params, x, xi)
+
+    def recording_boundary_kernel(params, j, x, alpha, n_alpha):
+        out = kernel_fn(params, j, x, alpha, n_alpha)
+        blocks.append(out.shape)
+        return out
+
+    monkeypatch.setattr(scheme, "_phi_matrix", recording_phi_matrix)
+    monkeypatch.setattr(scheme, "boundary_kernel", recording_boundary_kernel)
+    out = error_kernel_norms(params2, disk, cs)
+    assert out["interior"] == pytest.approx(ref["interior"], rel=1e-13, abs=0)
+    for j in (0, 1):
+        assert out["boundary"][j] == pytest.approx(ref["boundary"][j], rel=1e-13, abs=0)
+    # the centers-by-probes block, 147 x 1,975 here, comes in several tiles
+    assert sum(rows == len(cs.points) for rows, _ in blocks) > 2
+    for rows, sources in blocks:
+        assert rows * sources <= 2 * max(kernel.TILE_ENTRIES, 8 * sources)
+
+
 def test_boundary_support_is_local(disk):
     # M = 4, Gamma = 0.5: nominal boundary support radius 8h
     assert not boundary_support_is_local(disk, 0.2, 4)
