@@ -68,7 +68,7 @@ from .scheme import (
     scheme_grids,
     volume_potential,
 )
-from .targets import TargetFunction, named_target, target_from_expression
+from .targets import TargetFunction, named_target
 
 __all__ = [
     "SplineParams",
@@ -89,7 +89,6 @@ __all__ = [
     "PolyBasis",
     "TargetFunction",
     "named_target",
-    "target_from_expression",
     "layer_potential",
     "TraceMaps",
     "DirichletSolution",

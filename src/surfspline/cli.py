@@ -40,7 +40,7 @@ from .scheme import (
     probe_points,
     scheme_grids,
 )
-from .targets import named_target
+from .targets import TARGET_LIBRARY, named_target
 
 __all__ = ["main"]
 
@@ -175,7 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", default="disk", help="disk | circle:r | ellipse:a,b | star:eps[,arms]")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=256, help="boundary nodes")
-    p.add_argument("--data", default="harmonic3", help="named data function")
+    p.add_argument(
+        "--data", default="harmonic3", choices=sorted(TARGET_LIBRARY), help="named data function"
+    )
     p.add_argument("--probe-grid", type=int, default=32)
     p.add_argument("--margin", type=float, default=0.02)
     p.add_argument("--output", default="dirichlet.csv")
@@ -185,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", default="disk")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--h", type=float, default=0.1, help="target fill distance")
-    p.add_argument("--target", default="expx")
+    p.add_argument("--target", default="expx", choices=sorted(TARGET_LIBRARY))
     p.add_argument("--oversample", type=float, default=None, help="boundary exponent nu")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=256, help="solver boundary nodes")
@@ -197,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="evaluate the global extension")
     p.add_argument("--curve", default="disk")
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--target", default="expx")
+    p.add_argument("--target", default="expx", choices=sorted(TARGET_LIBRARY))
     p.add_argument("--h", type=float, default=0.1)
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--points", default=None, help='semicolon-separated "x,y" pairs')

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import HealthCheck, settings
 
 from surfspline.geometry import BoundaryGrid, circle, ellipse
 from surfspline.kernel import PairGeometry, SplineParams, pair_kernel
 from surfspline.layerpot import _neville_limit, trig_upsample
+from surfspline.targets import TargetFunction
 
 settings.register_profile(
     "default",
@@ -75,3 +77,43 @@ def direct_trace(params, densities, grid, k, side, slots):
         )
         vals[r] = sum(geom.value(*pair_kernel(params, k, j, geom)) @ c for j, c in charges)
     return _neville_limit(deltas, vals)
+
+
+_X, _Y = sp.symbols("x y", real=True)
+
+
+def _lambdify(expr):
+    fn = sp.lambdify((_X, _Y), expr, modules="numpy")
+
+    def wrapped(points):
+        pts = np.asarray(points, dtype=float)
+        out = fn(pts[..., 0], pts[..., 1])
+        return np.broadcast_to(np.asarray(out, dtype=float), pts.shape[:-1]).copy()
+
+    return wrapped
+
+
+def target_from_expression(expr, m, name=None):
+    """The symbolic oracle for the closed-form targets: a target built from a
+    sympy expression (or a parseable string) in x and y, whose op_k are the
+    lambdified symbolic derivatives, simplified after every Laplacian."""
+    if isinstance(expr, sp.Expr):
+        # replace any same-named symbols so differentiation sees our x, y
+        e = expr.subs({s: {"x": _X, "y": _Y}[s.name] for s in expr.free_symbols})
+    else:
+        e = sp.sympify(expr, locals={"x": _X, "y": _Y})
+    ops = {}
+    lap = e
+    for k in range(0, 2 * m, 2):
+        ops[k] = _lambdify(lap)
+        ops[k + 1] = (_lambdify(sp.diff(lap, _X)), _lambdify(sp.diff(lap, _Y)))
+        lap = sp.simplify(sp.diff(lap, _X, 2) + sp.diff(lap, _Y, 2))
+    ops[2 * m] = _lambdify(lap)
+
+    def op(k, points, normals):
+        if k % 2 == 0:
+            return ops[k](points)
+        fx, fy = ops[k]
+        return normals[..., 0] * fx(points) + normals[..., 1] * fy(points)
+
+    return TargetFunction(name=name or str(e), m=m, op=op)

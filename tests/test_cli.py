@@ -24,6 +24,22 @@ def test_unknown_subcommand():
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-dirichlet", "--data", "nosuch"],
+        ["approximate", "--target", "nosuch"],
+        ["extend", "--target", "nosuch", "--points", "0,0"],
+    ],
+)
+def test_unknown_target_names_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nosuch'" in err and "harmonic3" in err and "wave" in err
+
+
 def test_solve_dirichlet_writes_csv(tmp_path, capsys):
     out = tmp_path / "sol.csv"
     rc = main(

@@ -12,7 +12,7 @@ from surfspline.dirichlet import (
 from surfspline.errors import ResidualToleranceError
 from surfspline.polyspace import PolyBasis
 from surfspline.targets import named_target
-from tests.conftest import direct_trace, interior_points
+from tests.conftest import direct_trace, interior_points, target_from_expression
 
 
 def _solve(grid, name):
@@ -144,7 +144,6 @@ def test_multilayer_densities_annihilate_tail_polynomials(disk):
 def test_multilayer_densities_linear(disk):
     from surfspline.geometry import BoundaryGrid
     from surfspline.kernel import SplineParams
-    from surfspline.targets import target_from_expression
 
     grid = BoundaryGrid.build(disk, 128)
     params = SplineParams(m=2, d=2)

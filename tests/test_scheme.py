@@ -23,7 +23,8 @@ from surfspline.scheme import (
     scheme_grids,
     volume_potential,
 )
-from surfspline.targets import named_target, target_from_expression
+from surfspline.targets import named_target
+from tests.conftest import target_from_expression
 
 # ---------------------------------------------------------------------------
 # interior quadrature

@@ -1,15 +1,18 @@
 """Target functions: exact traces and m-Laplacians, checked in part against
 nested finite differences."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sp
 
-from surfspline.targets import (
-    TARGET_LIBRARY,
-    named_target,
-    target_from_expression,
-)
+from surfspline.geometry import BoundaryGrid, ellipse
+from surfspline.targets import TARGET_LIBRARY, named_target
+from tests.conftest import target_from_expression
 
 
 def _fd_laplacian(g, h):
@@ -51,6 +54,62 @@ def test_library_contents():
         assert name in TARGET_LIBRARY
     with pytest.raises(KeyError):
         named_target("nosuch", 2)
+
+
+@pytest.mark.parametrize("name", sorted(TARGET_LIBRARY))
+def test_closed_forms_match_the_symbolic_oracle(name, disk, rng):
+    # every op_k f (k < 2m) and Lap^m f, m = 1 .. 3, against the lambdified
+    # sympy derivatives of the library expression; the oracle built at m = 3
+    # holds op_k for every k <= 6
+    oracle = target_from_expression(TARGET_LIBRARY[name][0], m=3, name=name)
+    theta = rng.uniform(0, 2 * np.pi, size=40)
+    point_sets = [
+        (rng.uniform(-1.5, 1.5, size=(40, 2)), np.column_stack([np.cos(theta), np.sin(theta)])),
+    ] + [
+        (g.points, g.normals)
+        for g in (BoundaryGrid.build(disk, 64), BoundaryGrid.build(ellipse(1.5, 1.0), 64))
+    ]
+    for m in (1, 2, 3):
+        f = named_target(name, m)
+        for pts, nrm in point_sets:
+            pairs = [(f.trace(k, pts, nrm), oracle.op(k, pts, nrm)) for k in range(2 * m)]
+            pairs.append((f.m_laplacian(pts), oracle.op(2 * m, pts, None)))
+            for k, (got, want) in enumerate(pairs):
+                assert got.shape == want.shape
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-14 * scale, (m, k)
+
+
+def test_trace_order_out_of_range(grid256):
+    f = named_target("wave", 2)
+    for k in (4, -1):
+        with pytest.raises(ValueError, match=r"0 \.\. 3"):
+            f.trace(k, grid256.points, grid256.normals)
+
+
+def test_run_path_does_not_import_sympy():
+    # the package, every named target and a tiny ladder run on numpy alone
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "import surfspline\n"
+        "from surfspline.harness import ExperimentConfig, converge\n"
+        "from surfspline.targets import TARGET_LIBRARY, named_target\n"
+        "for name in TARGET_LIBRARY:\n"
+        "    named_target(name, 2)\n"
+        "cfg = ExperimentConfig(curve='disk', target='wave', h_ladder=(0.3, 0.25, 0.2),\n"
+        "                       probe_grid=32, quad_level=16, n_solver=64)\n"
+        "assert all(r.ok for r in converge(cfg).rungs)\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_values_and_simple_traces(grid256):
