@@ -129,38 +129,48 @@ class DomainCurve:
         return rr < self.polar_radius(psi)
 
     def ray_exit(self, origin, angles, tol: float = 1e-14) -> np.ndarray:
-        """Distance along rays from an interior point to the boundary.
+        """Distance along rays from interior points to the boundary.
 
         Solves |origin + s e(theta)| = polar_radius(angle of that point) by
-        bisection; requires the domain to be star-shaped about ``origin``
+        bisection; requires the domain to be star-shaped about each origin
         (always true for convex domains, and for mildly perturbed stars when
-        ``origin`` is not too close to the boundary).
+        the origin is not too close to the boundary).  ``origin`` is one
+        point, giving ``(n_angles,)`` distances, or an ``(n, 2)`` array of
+        them, giving ``(n, n_angles)``.  Every origin's rays are halved until
+        their own widest bracket is below ``tol`` (at most 60 times), so a
+        row's distances do not depend on the other origins in the batch.
         """
         origin = np.asarray(origin, dtype=float)
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
         ca, sa = np.cos(angles), np.sin(angles)
 
-        def level(s):
-            qx = origin[0] + s * ca
-            qy = origin[1] + s * sa
+        def level(o, s):
+            qx = o[:, :1] + s * ca
+            qy = o[:, 1:] + s * sa
             return np.hypot(qx, qy) - self.polar_radius(np.arctan2(qy, qx))
 
-        lo = np.zeros_like(angles)
-        hi = np.full_like(angles, 2.5 * self.max_radius())
-        f_lo = level(lo)
-        if np.any(f_lo >= 0):
+        o = np.atleast_2d(origin)
+        lo = np.zeros((o.shape[0], angles.size))
+        hi = np.full_like(lo, 2.5 * self.max_radius())
+        if np.any(level(o, lo) >= 0):
             raise StarShapeError("ray origin is not strictly inside the domain")
-        if np.any(level(hi) <= 0):
+        if np.any(level(o, hi) <= 0):
             raise StarShapeError("ray bracket failed; domain not star-shaped here?")
+        out = np.empty_like(lo)
+        rows = np.arange(o.shape[0])  # the origins still bisecting
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            f_mid = level(mid)
-            take = f_mid < 0
+            take = level(o, mid) < 0
             lo = np.where(take, mid, lo)
             hi = np.where(take, hi, mid)
-            if np.max(hi - lo) < tol:
-                break
-        return 0.5 * (lo + hi)
+            done = np.max(hi - lo, axis=1) < tol
+            if np.any(done):
+                out[rows[done]] = 0.5 * (lo[done] + hi[done])
+                rows, o, lo, hi = (a[~done] for a in (rows, o, lo, hi))
+                if not rows.size:
+                    break
+        out[rows] = 0.5 * (lo + hi)
+        return out if origin.ndim > 1 else out[0]
 
 
 def circle(radius: float = 1.0) -> DomainCurve:
@@ -234,6 +244,8 @@ def curve_from_spec(spec: str) -> DomainCurve:
     head, args = spec.split(":", 1)
     vals = [float(v) for v in args.split(",") if v.strip()]
     if head == "circle":
+        if len(vals) > 1:
+            raise ValueError("circle spec takes one radius, e.g. circle:1.5")
         return circle(*vals)
     if head == "ellipse":
         if len(vals) != 2:

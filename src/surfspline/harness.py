@@ -31,7 +31,7 @@ from .scheme import (
     scheme_grids,
     volume_potential,
 )
-from .targets import TargetFunction, named_target
+from .targets import TARGET_LIBRARY, TargetFunction, named_target
 
 __all__ = [
     "ExperimentConfig",
@@ -76,6 +76,13 @@ class ExperimentConfig:
         bad = [p for p in self.norms if p not in _NORM_TOKENS]
         if bad:
             raise ValueError(f"unknown norm tokens {bad}; use 1, 2, inf")
+        if self.target not in TARGET_LIBRARY:
+            known = ", ".join(sorted(TARGET_LIBRARY))
+            raise ValueError(f"unknown target {self.target!r}; known targets: {known}")
+        try:
+            curve_from_spec(self.curve)
+        except ValueError as exc:
+            raise ValueError(f"bad curve spec {self.curve!r}: {exc}") from exc
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

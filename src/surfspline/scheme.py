@@ -148,6 +148,12 @@ def volume_potential(
     the kernel into the smooth radial profile phi(s) s; rays are cut at the
     boundary by bisection.  Assumes the domain is star-shaped as seen from
     every evaluation point (guaranteed on convex domains).
+
+    The rays are bisected over :func:`~surfspline.kernel.tiles` of the points
+    against the ``n_theta`` rays, and the nodes, weights, densities and
+    kernel values are formed over tiles against the ``n_theta * level``
+    nodes, with one ``density_fn`` call per tile.  Each point's value is one
+    sum over its own nodes, so it does not depend on the tiling.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n_theta = max(64, 4 * level)
@@ -156,14 +162,19 @@ def volume_potential(
     u = 0.5 * (u + 1.0)
     wu = 0.5 * wu
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    out = np.empty(pts.shape[0])
-    for i, x in enumerate(pts):
-        s_exit = curve.ray_exit(x, theta)
-        s = s_exit[:, None] * u[None, :]
-        w = (2 * np.pi / n_theta) * (s_exit[:, None] * wu[None, :]) * s
-        alpha = x[None, None, :] + s[..., None] * dirs[:, None, :]
+    n = pts.shape[0]
+    s_exit = np.empty((n, n_theta))
+    for lo, hi in tiles(n, n_theta):
+        s_exit[lo:hi] = curve.ray_exit(pts[lo:hi], theta)
+    out = np.empty(n)
+    for lo, hi in tiles(n, n_theta * level):
+        rays = s_exit[lo:hi, :, None]
+        s = rays * u  # (tile, n_theta, level)
+        w = (2 * np.pi / n_theta) * (rays * wu) * s
+        alpha = pts[lo:hi, None, None, :] + s[..., None] * dirs[:, None, :]
         dens = np.asarray(density_fn(alpha.reshape(-1, 2))).reshape(s.shape)
-        out[i] = float(np.sum(w * dens * phi_from_r2(params, s * s)))
+        terms = w * dens * phi_from_r2(params, s * s)
+        out[lo:hi] = np.sum(terms.reshape(hi - lo, -1), axis=1)
     return out
 
 
@@ -489,6 +500,7 @@ def extension_continuity(
     Both one-sided limits are taken by polynomial extrapolation of the field
     along a geometric ladder of normal offsets; the extension is continuous,
     so the mismatch measures the combined evaluation error of the two paths.
+    Each side is one evaluation over all offsets and probes.
     """
     curve = ext.grids.curve
     t = 2 * np.pi * np.arange(n_probes) / n_probes + 0.391
@@ -497,7 +509,8 @@ def extension_continuity(
     deltas = 0.02 * curve.diameter() / 2.0 ** np.arange(5)
     limits = []
     for sgn in (-1.0, 1.0):
-        vals = np.stack([ext.evaluate(base + sgn * d * nrm) for d in deltas])  # (rungs, n_probes)
+        pts = base + (sgn * deltas)[:, None, None] * nrm  # (rungs, n_probes, 2)
+        vals = ext.evaluate(pts.reshape(-1, 2)).reshape(deltas.size, n_probes)
         limits.append(_neville_limit(deltas, vals)[0])
     return float(np.max(np.abs(limits[0] - limits[1])))
 

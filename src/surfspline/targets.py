@@ -97,20 +97,30 @@ def _plane_wave(c: complex, a: tuple[complex, complex]) -> Callable:
     return op
 
 
-def _gaussian(k, points, normals):
+def _gaussian() -> Callable:
     """op_k of e^(-r^2): Lap^i e^(-s) = p_i(s) e^(-s) with s = r^2, p_0 = 1 and
     p_(i+1) = 4s (p_i'' - 2p_i' + p_i) + 4(p_i' - p_i), whose coefficients are
-    integers; the gradient of p_i(s) e^(-s) is 2 (p_i' - p_i)(s) e^(-s) x."""
-    p = Polynomial([1])
-    for _ in range(k // 2):
-        p = 4 * Polynomial([0, 1]) * (p.deriv(2) - 2 * p.deriv() + p) + 4 * (p.deriv() - p)
-    x, y = points[..., 0], points[..., 1]
-    s = x**2 + y**2
-    decay = np.exp(-s)
-    if k % 2 == 0:
-        return p(s) * decay
-    radial = (2 * (p.deriv() - p))(s) * decay
-    return normals[..., 0] * (radial * x) + normals[..., 1] * (radial * y)
+    integers; the gradient of p_i(s) e^(-s) is 2 (p_i' - p_i)(s) e^(-s) x.
+    p_i and 2 (p_i' - p_i) are built on the first use of order i."""
+    terms = {}  # i -> (p_i, 2 (p_i' - p_i))
+
+    def op(k, points, normals):
+        i = k // 2
+        if i not in terms:
+            p = Polynomial([1])
+            for _ in range(i):
+                p = 4 * Polynomial([0, 1]) * (p.deriv(2) - 2 * p.deriv() + p) + 4 * (p.deriv() - p)
+            terms[i] = (p, 2 * (p.deriv() - p))
+        p, grad = terms[i]
+        x, y = points[..., 0], points[..., 1]
+        s = x**2 + y**2
+        decay = np.exp(-s)
+        if k % 2 == 0:
+            return p(s) * decay
+        radial = grad(s) * decay
+        return normals[..., 0] * (radial * x) + normals[..., 1] * (radial * y)
+
+    return op
 
 
 #: named closed-form targets available to the CLI and the experiment drivers
@@ -139,7 +149,7 @@ TARGET_LIBRARY: dict[str, tuple[str, str, Callable]] = {
     ),
     "expx": ("exp(x)", "entire, not polyharmonic of any finite order", _plane_wave(1, (1, 0))),
     "expcos": ("exp(x)*cos(y)", "Re(e^z), harmonic", _plane_wave(1, (1, 1j))),
-    "gauss": ("exp(-(x**2 + y**2))", "radial Gaussian", _gaussian),
+    "gauss": ("exp(-(x**2 + y**2))", "radial Gaussian", _gaussian()),
     "wave": ("sin(2*x + y)", "plane wave", _plane_wave(-1j, (2j, 1j))),
 }
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from surfspline.errors import DensityUnreachableError, ReachViolationError
+from surfspline.errors import DensityUnreachableError, ReachViolationError, StarShapeError
 from surfspline.geometry import (
     BoundaryGrid,
     CenterSet,
@@ -249,6 +249,8 @@ def test_curve_from_spec_parsing():
         curve_from_spec("square:1")
     with pytest.raises(ValueError):
         curve_from_spec("ellipse:2")
+    with pytest.raises(ValueError):
+        curve_from_spec("circle:1,2")
 
 
 def test_reach_estimate_ellipse(ell21):
@@ -266,3 +268,61 @@ def test_star_curve_consistency():
     eps = 1e-6
     fd = (s.point(t + eps) - s.point(t - eps)) / (2 * eps)
     np.testing.assert_allclose(s.velocity(t), fd, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# ray casting
+# ---------------------------------------------------------------------------
+
+
+def _origins_at_depths(curve):
+    """Interior points at depths 0 .. 0.97 of the polar radius, 7 angles each."""
+    psi = np.tile(np.linspace(0.3, 2 * np.pi + 0.3, 7, endpoint=False), 5)
+    depth = np.repeat([0.0, 0.3, 0.6, 0.9, 0.97], 7)
+    r = depth * curve.polar_radius(psi)
+    return np.stack([r * np.cos(psi), r * np.sin(psi)], axis=-1)
+
+
+# at these tolerances the rays' last brackets are a few ulps wide, so origins
+# whose rays are all short stop bisecting while the others run to the cap
+@pytest.mark.parametrize(
+    "spec, tol", [("circle:0.75", 2e-16), ("ellipse:1.5,1", 4e-16), ("star:0.15,5", 4e-16)]
+)
+def test_ray_exit_batch_equals_single_origins(spec, tol, monkeypatch):
+    curve = curve_from_spec(spec)
+    theta = 2 * np.pi * np.arange(96) / 96
+    origins = _origins_at_depths(curve)
+    for t in (1e-14, tol):
+        batch = curve.ray_exit(origins, theta, t)
+        assert batch.shape == (len(origins), theta.size)
+        single = [curve.ray_exit(o, theta, t) for o in origins]
+        assert single[0].shape == theta.shape
+        np.testing.assert_array_equal(batch, np.stack(single))
+    # every exit point lies on the curve
+    q = origins[:, None, :] + batch[..., None] * np.stack([np.cos(theta), np.sin(theta)], -1)
+    np.testing.assert_allclose(
+        np.hypot(q[..., 0], q[..., 1]),
+        curve.polar_radius(np.arctan2(q[..., 1], q[..., 0])),
+        atol=1e-13,
+    )
+    # the batch above really mixes early stops with full runs
+    calls = []
+    polar_radius = curve.polar_radius
+    monkeypatch.setattr(curve, "polar_radius", lambda psi: calls.append(0) or polar_radius(psi))
+    steps = set()
+    for o in origins:
+        calls.clear()
+        curve.ray_exit(o, theta, tol)
+        steps.add(len(calls))
+    assert len(steps) > 1
+
+
+def test_ray_exit_rejects_a_batch_with_one_outside_origin():
+    curve = curve_from_spec("star:0.15,5")
+    origins = _origins_at_depths(curve)
+    theta = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    for row in (0, len(origins) // 2, len(origins) - 1):
+        bad = origins.copy()
+        bad[row] = [1.3, 0.2]
+        with pytest.raises(StarShapeError):
+            curve.ray_exit(bad, theta)

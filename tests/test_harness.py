@@ -36,6 +36,19 @@ def test_config_validation():
         ExperimentConfig(h_ladder=(0.2, 0.1, -0.05))
 
 
+def test_config_rejects_unknown_targets_and_curves(tmp_path):
+    # rejected when the config is built, before any rung runs
+    with pytest.raises(ValueError, match="unknown target 'nosuch'; known targets: biharm"):
+        ExperimentConfig(target="nosuch", h_ladder=(0.3, 0.25, 0.2))
+    for spec in ("square:1", "ellipse:2", "circle:1,2", "star:x"):
+        with pytest.raises(ValueError, match="bad curve spec"):
+            ExperimentConfig(curve=spec)
+    path = tmp_path / "typo.cfg"
+    path.write_text("[experiment]\ntarget = gaus\nh_ladder = 0.3 0.25 0.2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown target 'gaus'"):
+        ExperimentConfig.from_file(path)
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(

@@ -24,7 +24,7 @@ from surfspline.scheme import (
     volume_potential,
 )
 from surfspline.targets import named_target
-from tests.conftest import target_from_expression
+from tests.conftest import interior_points, target_from_expression
 
 # ---------------------------------------------------------------------------
 # interior quadrature
@@ -107,6 +107,56 @@ def test_volume_potential_level_convergence(disk, params2, rng):
     a = volume_potential(params2, disk, f.m_laplacian, pts, 24)
     b = volume_potential(params2, disk, f.m_laplacian, pts, 48)
     assert np.max(np.abs(a - b)) < 1e-8
+
+
+def _volume_potential_loop(params, curve, density_fn, points, level):
+    """The per-point loop that ``volume_potential`` tiles: one ray bisection,
+    one density call and one sum per evaluation point."""
+    from surfspline.kernel import phi_from_r2
+
+    n_theta = max(64, 4 * level)
+    theta = 2 * np.pi * np.arange(n_theta) / n_theta
+    u, wu = np.polynomial.legendre.leggauss(level)
+    u = 0.5 * (u + 1.0)
+    wu = 0.5 * wu
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    out = np.empty(len(points))
+    for i, x in enumerate(points):
+        s_exit = curve.ray_exit(x, theta)
+        s = s_exit[:, None] * u[None, :]
+        w = (2 * np.pi / n_theta) * (s_exit[:, None] * wu[None, :]) * s
+        alpha = x[None, None, :] + s[..., None] * dirs[:, None, :]
+        dens = np.asarray(density_fn(alpha.reshape(-1, 2))).reshape(s.shape)
+        out[i] = float(np.sum(w * dens * phi_from_r2(params, s * s)))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["disk", "ellipse:1.5,1"])
+def test_volume_potential_equals_the_per_point_loop_on_any_tiling(spec, params2, monkeypatch):
+    from surfspline import kernel
+    from surfspline.geometry import curve_from_spec
+    from surfspline.targets import TARGET_LIBRARY
+
+    curve = curve_from_spec(spec)
+    pts = interior_points(curve, 21, np.random.default_rng(7), margin=0.05)
+    n_nodes = 4 * 24 * 24
+    for name in TARGET_LIBRARY:
+        f = named_target(name, 2)
+        want = _volume_potential_loop(params2, curve, f.m_laplacian, pts, 24)
+        for budget in (None, 1 << 10, 1 << 20):
+            if budget is not None:
+                monkeypatch.setattr(kernel, "TILE_ENTRIES", budget)
+            calls = []
+
+            def density(a):
+                calls.append(len(a))
+                return f.m_laplacian(a)
+
+            got = volume_potential(params2, curve, density, pts, 24)
+            np.testing.assert_array_equal(got, want, err_msg=f"{name}, budget {budget}")
+            # one density call per tile of the nodes
+            assert calls == [n_nodes * (hi - lo) for lo, hi in kernel.tiles(len(pts), n_nodes)]
+            monkeypatch.undo()
 
 
 def test_greens_representation_reconstructs(disk, params2, rng):
@@ -352,6 +402,37 @@ def test_extension_matches_target_inside(gauss_extension, rng):
 
 def test_extension_continuity_across_boundary(gauss_extension):
     assert extension_continuity(gauss_extension, n_probes=8) < 1e-4
+
+
+@pytest.mark.parametrize("name", ["gauss", "wave", "quartic"])
+def test_extension_continuity_evaluates_each_side_once_bitwise(disk, name, monkeypatch):
+    # one evaluation per side over all offsets and probes, equal at every
+    # point to the per-offset evaluations it replaces
+    from surfspline.layerpot import _neville_limit
+
+    ext = ExtensionField(SplineParams(2, 2), scheme_grids(disk, 0.15, n_solver=128),
+                         named_target(name, 2))
+    evaluate = ext.evaluate
+    seen = []
+
+    def recording(pts):
+        seen.append((pts, evaluate(pts)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(ext, "evaluate", recording)
+    gap = extension_continuity(ext)
+    assert len(seen) == 2
+    t = 2 * np.pi * np.arange(12) / 12 + 0.391
+    base, nrm = disk.point(t), disk.normal(t)
+    deltas = 0.02 * disk.diameter() / 2.0 ** np.arange(5)
+    limits = []
+    for (pts, vals), sgn in zip(seen, (-1.0, 1.0)):
+        offsets = [base + sgn * d * nrm for d in deltas]
+        np.testing.assert_array_equal(pts, np.concatenate(offsets))
+        per_offset = np.stack([evaluate(x) for x in offsets])
+        np.testing.assert_array_equal(vals, per_offset.ravel())
+        limits.append(_neville_limit(deltas, per_offset)[0])
+    assert gap == float(np.max(np.abs(limits[0] - limits[1])))
 
 
 def test_extension_outside_paths_agree(gauss_extension):
