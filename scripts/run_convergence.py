@@ -6,7 +6,9 @@ Usage:
 
 With no arguments every config under experiments/ runs in order.  Each
 experiment writes its per-rung CSV and a rates summary next to the path
-named in its config.
+named in its config.  A config that cannot be read or set up prints
+``error: ...`` and exits 2 before its ladder writes anything; a ladder with
+a failed rung exits 1.
 """
 
 import sys
@@ -26,8 +28,12 @@ def main(argv=None) -> int:
     failures = 0
     for path in paths:
         print(f"== {path} ==")
-        config = ExperimentConfig.from_file(path)
-        report = converge(config, verbose=True)
+        try:
+            # converge records rung failures itself; what it raises is a config fault
+            report = converge(ExperimentConfig.from_file(path), verbose=True)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for p, rate in report.rates.items():
             print(f"  fitted l{p} rate: {rate:.3f}")
         for warning in report.warnings:

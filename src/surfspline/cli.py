@@ -52,8 +52,12 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def _cmd_converge(args) -> int:
-    config = ExperimentConfig.from_file(args.config)
-    report = converge(config, verbose=not args.quiet)
+    # converge records rung failures itself; what it raises is a config fault
+    try:
+        report = converge(ExperimentConfig.from_file(args.config), verbose=not args.quiet)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     main_csv, rates_csv = report.write()
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -386,19 +386,16 @@ class CenterSet:
     """Scattered kernel centers inside a domain.
 
     ``fill`` is the measured fill distance (largest hole radius) over the
-    closed domain, and ``separation`` the smallest pairwise distance.  For
-    oversampled sets, ``boundary_spacing`` records the along-boundary spacing
-    of the appended layers and ``n_base`` how many points belong to the
-    original interior lattice.
+    closed domain.  For oversampled sets, ``boundary_spacing`` records the
+    along-boundary spacing of the appended layers, which follow the points
+    of the original interior lattice.
     """
 
     points: np.ndarray
     target_h: float
     fill: float
-    separation: float
     seed: int | None = None
     boundary_spacing: float | None = None
-    n_base: int | None = None
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
@@ -408,16 +405,6 @@ class CenterSet:
             fh.write("x,y\n")
             for x, y in self.points:
                 fh.write(f"{float(x)!r},{float(y)!r}\n")
-
-    @staticmethod
-    def load_csv(path, curve: DomainCurve | None = None) -> "CenterSet":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        pts = data[:, :2]
-        fill = float("nan")
-        sep = float(np.min(cKDTree(pts).query(pts, k=2)[0][:, 1])) if len(pts) > 1 else float("nan")
-        if curve is not None:
-            fill = fill_distance(pts, curve)
-        return CenterSet(points=pts, target_h=float("nan"), fill=fill, separation=sep)
 
 
 def _interior_samples(curve: DomainCurve, spacing: float) -> np.ndarray:
@@ -518,13 +505,10 @@ def generate_centers(
         raise DensityUnreachableError(
             "too few centers survive the boundary clip; decrease target_h"
         )
-    h = fill_distance(pts, curve)
-    sep = float(np.min(cKDTree(pts).query(pts, k=2)[0][:, 1]))
     return CenterSet(
         points=pts,
         target_h=float(target_h),
-        fill=h,
-        separation=sep,
+        fill=fill_distance(pts, curve),
         seed=seed,
     )
 
@@ -573,14 +557,10 @@ def oversample_boundary(
              + 0.24 * (rng.random(n_layer) - 0.5)) / n_layer
         t = _arclength_params(curve, u)
         layers.append(curve.point(t) - depth * curve.normal(t))
-    allpts = np.vstack([base.points] + layers)
-    sep = float(np.min(cKDTree(allpts).query(allpts, k=2)[0][:, 1]))
     return CenterSet(
-        points=allpts,
+        points=np.vstack([base.points] + layers),
         target_h=base.target_h,
         fill=base.fill,
-        separation=sep,
         seed=base.seed,
         boundary_spacing=hb,
-        n_base=len(base),
     )

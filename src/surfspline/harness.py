@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import curve_from_spec, generate_centers, oversample_boundary
+from .geometry import DomainCurve, curve_from_spec, generate_centers, oversample_boundary
 from .kernel import SplineParams
 from .layerpot import TraceMaps
 from .scheme import (
@@ -31,7 +31,7 @@ from .scheme import (
     scheme_grids,
     volume_potential,
 )
-from .targets import TARGET_LIBRARY, TargetFunction, named_target
+from .targets import TARGET_LIBRARY, named_target
 
 __all__ = [
     "ExperimentConfig",
@@ -76,6 +76,14 @@ class ExperimentConfig:
         bad = [p for p in self.norms if p not in _NORM_TOKENS]
         if bad:
             raise ValueError(f"unknown norm tokens {bad}; use 1, 2, inf")
+        if self.m < 2:
+            raise ValueError(f"spline order must satisfy m >= 2, got m={self.m}")
+        if self.n_solver < 4 or self.n_solver % 2:
+            raise ValueError(f"n_solver must be even and >= 4, got {self.n_solver}")
+        if self.quad_level < 2:
+            raise ValueError(f"quad_level must be at least 2, got {self.quad_level}")
+        if self.oversample not in (None, "critical") and float(self.oversample) < 1.0:
+            raise ValueError(f"oversample exponent must be >= 1, got {self.oversample}")
         if self.target not in TARGET_LIBRARY:
             known = ", ".join(sorted(TARGET_LIBRARY))
             raise ValueError(f"unknown target {self.target!r}; known targets: {known}")
@@ -89,7 +97,12 @@ class ExperimentConfig:
         """Read a ``key = value`` config file ([experiment] section)."""
         cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         with open(path, encoding="utf-8") as fh:
-            cp.read_file(fh)
+            try:
+                cp.read_file(fh)
+            except configparser.Error as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+        if not cp.sections():
+            raise ValueError(f"{path}: no [experiment] section")
         sec = cp["experiment"] if cp.has_section("experiment") else cp[cp.sections()[0]]
         kw = {}
         for key in ("curve", "target", "output"):
@@ -119,7 +132,7 @@ class ExperimentConfig:
             return None
         if self.oversample == "critical":
             p = max(math.inf if p == "inf" else float(p) for p in self.norms)
-            return oversampling_budget(2, self.m, p).nu
+            return oversampling_budget(self.m, p)
         return float(self.oversample)
 
 
@@ -167,11 +180,9 @@ class ErrorReport:
             lines.append(f"l{p},{'' if val is None else repr(val)}")
         return "\n".join(lines) + "\n"
 
-    def write(self, directory=None) -> tuple:
+    def write(self) -> tuple:
         """Emit ``<output>.csv`` and ``<output>_rates.csv`` (UTF-8, LF)."""
         stem = Path(self.config.output)
-        if directory is not None:
-            stem = Path(directory) / stem
         stem.parent.mkdir(parents=True, exist_ok=True)
         main = stem.with_suffix(".csv")
         rates = stem.with_name(stem.name + "_rates").with_suffix(".csv")
@@ -203,8 +214,9 @@ def converge(config: ExperimentConfig, *, verbose: bool = False) -> ErrorReport:
     solves on the same boundary grid, so the first rung builds its trace
     maps and every rung applies them.  A rung that raises is recorded with
     its failure annotation and the remaining rungs still run, so partial
-    reports always come out.  Rates are least-squares slopes of log error
-    against log measured fill over the last three clean rungs.
+    reports always come out; what raises is a fault of the config.  Rates
+    are least-squares slopes of log error against log measured fill over
+    the last three clean rungs.
     """
     curve = curve_from_spec(config.curve)
     f = named_target(config.target, config.m)
@@ -214,6 +226,8 @@ def converge(config: ExperimentConfig, *, verbose: bool = False) -> ErrorReport:
     probes = fp = quad = fq = None
     if "inf" in config.norms:
         probes = probe_points(curve, config.probe_grid, 0.0)
+        if len(probes) == 0:
+            raise ValueError(f"probe_grid = {config.probe_grid} holds no point inside the domain")
         fp = f(probes)
     if {"1", "2"} & set(config.norms):
         quad = interior_quadrature(curve, config.quad_level)
@@ -286,31 +300,27 @@ def converge(config: ExperimentConfig, *, verbose: bool = False) -> ErrorReport:
 
 
 def greens_identity_check(
-    curve,
+    curve: DomainCurve,
     m: int,
-    f: TargetFunction | str,
+    target: str,
     n: int = 256,
     level: int = 32,
     *,
     probe_grid: int = 32,
-    margin: float = 0.02,
     constant_scale: float = 1.0,
 ) -> float:
-    """Max probe error of the volume-plus-layers reconstruction of f.
+    """Max probe error of the volume-plus-layers reconstruction of a target.
 
-    Reconstructs f inside the domain from its m-fold Laplacian and its
-    boundary traces and returns the worst probe-grid error.  Because the
-    volume term carries the fundamental-solution normalization, this value
-    validates that constant: ``constant_scale`` deliberately mis-scales it
-    so tests can confirm the check actually bites (a scale of 2 must
-    produce an O(1) error).
+    Reconstructs the named target inside the domain from its m-fold
+    Laplacian and its boundary traces and returns the worst error on a
+    probe grid 0.02 inside the boundary.  Because the volume term carries
+    the fundamental-solution normalization, this value validates that
+    constant: ``constant_scale`` deliberately mis-scales it so tests can
+    confirm the check actually bites (a scale of 2 must be O(1) off).
     """
-    if isinstance(curve, str):
-        curve = curve_from_spec(curve)
-    if isinstance(f, str):
-        f = named_target(f, m)
+    f = named_target(target, m)
     params = SplineParams(m=m, d=2)
-    probes = probe_points(curve, probe_grid, margin)
+    probes = probe_points(curve, probe_grid, 0.02)
     vals = greens_representation(params, curve, f, n, level, probes)
     if constant_scale != 1.0:
         vals = vals + (constant_scale - 1.0) * volume_potential(
@@ -319,22 +329,12 @@ def greens_identity_check(
     return float(np.max(np.abs(vals - f(probes))))
 
 
-@dataclass(frozen=True)
-class OversamplingBudget:
-    nu: float
-    feasible: bool
+def oversampling_budget(m: int, p: float) -> float:
+    """Critical oversampling exponent nu = 2mp/(mp+1) for the L_p norm.
 
-
-def oversampling_budget(d: int, m: int, p: float) -> OversamplingBudget:
-    """Critical oversampling exponent nu = 2mp/(mp+1) and its feasibility.
-
-    ``feasible`` says whether densifying the boundary zone to h^nu keeps
-    the total number of added centers O(h^-d), which requires
-    p <= d/((d-2)m); in dimension 2 the bound is vacuous.  ``p`` may be
-    ``math.inf`` (sup norm), giving nu = 2.
+    Densifying the planar boundary zone to h^nu adds O(h^-2) centers for
+    every p.  ``p`` may be ``math.inf`` (sup norm), giving nu = 2.
     """
     if p < 1:
         raise ValueError("p must be in [1, inf]")
-    nu = 2.0 if math.isinf(p) else 2.0 * m * p / (m * p + 1.0)
-    feasible = True if d <= 2 else p <= d / ((d - 2) * m)
-    return OversamplingBudget(nu=nu, feasible=feasible)
+    return 2.0 if math.isinf(p) else 2.0 * m * p / (m * p + 1.0)

@@ -1,16 +1,17 @@
 """Polyharmonic (surface-spline) kernels and their boundary-operator derivatives.
 
 The basic object is the fundamental solution ``phi`` of the m-th iterate of the
-Laplacian in R^d,
+Laplacian in the plane,
 
-    phi(x) = C * |x|^(2m-d) * log|x|   (d even)
-    phi(x) = C * |x|^(2m-d)            (d odd)
+    phi(x) = C * |x|^(2m-2) * log|x|
 
-with the constant ``C = fs_constant(m, d)`` normalized so that the m-fold
-Laplacian of ``phi`` is the Dirac delta at the origin.  Everything else in this
-module is obtained from ``phi`` by exact radial calculus: iterated radial
-Laplacians, radial derivatives, and the direction-cosine factors produced by
-normal derivatives.  No numerical differentiation is involved.
+with the constant ``C = fs_constant(m)`` normalized so that the m-fold
+Laplacian of ``phi`` is the Dirac delta at the origin.  The package is planar
+throughout: curves, polynomial spaces and kernels are all two-dimensional.
+Everything else in this module is obtained from ``phi`` by exact radial
+calculus: iterated radial Laplacians, radial derivatives, and the
+direction-cosine factors produced by normal derivatives.  No numerical
+differentiation is involved.
 
 Boundary operators: for a function ``f`` and a unit field ``n``,
 
@@ -67,11 +68,11 @@ TILE_ENTRIES = 1 << 15
 
 @dataclass(frozen=True)
 class SplineParams:
-    """Order ``m`` and space dimension ``d`` of a surface spline.
+    """Order ``m`` of a planar surface spline.
 
-    The surface-spline regime requires ``m > d/2`` so that ``phi`` is
-    continuous; this package additionally assumes ``m >= 2`` (the order-1
-    kernels never appear in the approximation scheme).
+    ``d`` is the space dimension and must be 2.  The package assumes
+    ``m >= 2`` (the order-1 kernels never appear in the approximation
+    scheme), which also makes ``phi`` continuous.
     """
 
     m: int
@@ -80,47 +81,23 @@ class SplineParams:
     def __post_init__(self) -> None:
         if not (isinstance(self.m, (int, np.integer)) and isinstance(self.d, (int, np.integer))):
             raise ValueError("m and d must be integers")
+        if self.d != 2:
+            raise ValueError(f"only planar splines are supported: d must be 2, got d={self.d}")
         if self.m < 2:
             raise ValueError(f"surface-spline order must satisfy m >= 2, got m={self.m}")
-        if self.d < 2:
-            raise ValueError(f"dimension must satisfy d >= 2, got d={self.d}")
-        if 2 * self.m <= self.d:
-            raise ValueError(
-                f"surface-spline condition m > d/2 violated: m={self.m}, d={self.d}"
-            )
-
-    @property
-    def kernel_power(self) -> int:
-        """Exponent 2m - d of the radial power in ``phi``."""
-        return 2 * self.m - self.d
 
 
-def fs_constant(m: int, d: int) -> float:
+def fs_constant(m: int) -> float:
     """Normalization constant making the m-fold Laplacian of ``phi`` a delta.
 
-    For even ``d`` the constant is
-    ``(-1)^(d/2+1) / (2^(2m-1) * pi^(d/2) * (m-1)! * (m-d/2)!)`` and for odd
-    ``d`` it is ``(-1)^m * Gamma(d/2-m) / (2^(2m) * pi^(d/2) * (m-1)!)``.
-    Both are the classical fundamental-solution normalizations for ``Lap^m``
-    (not for ``(-Lap)^m``; the two differ by ``(-1)^m`` and coincide for the
-    even orders used in the experiments).  The sign convention is pinned
+    The constant is ``1 / (2^(2m-1) * pi * (m-1)!^2)``, the classical
+    planar fundamental-solution normalization for ``Lap^m`` (not for
+    ``(-Lap)^m``; the two differ by ``(-1)^m`` and coincide for the even
+    orders used in the experiments).  The sign convention is pinned
     numerically by the Green's-representation identity test in the harness.
     """
-    if d % 2 == 0:
-        if m < d // 2:
-            raise ValueError("even-dimensional constant needs 2m >= d")
-        # (-1)^(d/2+1): positive for d = 2 mod 4 (e.g. d=2), negative for d = 0 mod 4
-        sign = (-1.0) ** (d // 2 + 1)
-        return sign / (
-            2.0 ** (2 * m - 1)
-            * math.pi ** (d / 2.0)
-            * math.factorial(m - 1)
-            * math.factorial(m - d // 2)
-        )
-    return (
-        (-1.0) ** m
-        * math.gamma(d / 2.0 - m)
-        / (2.0 ** (2 * m) * math.pi ** (d / 2.0) * math.factorial(m - 1))
+    return 1.0 / (
+        2.0 ** (2 * m - 1) * math.pi * math.factorial(m - 1) * math.factorial(m - 1)
     )
 
 
@@ -132,7 +109,7 @@ def fs_constant(m: int, d: int) -> float:
 class RadialTerms:
     """A finite sum of terms ``c * r^p * log(r)^e`` with ``e`` in {0, 1}.
 
-    Closed under the radial Laplacian in any dimension and under d/dr, which
+    Closed under the planar radial Laplacian and under d/dr, which
     is all the calculus the kernels need.  Terms with coefficient exactly zero
     are dropped, so iterating the Laplacian of ``phi`` eventually yields the
     empty (identically zero) profile away from the origin.
@@ -151,28 +128,17 @@ class RadialTerms:
             (c, p, e) for (p, e), c in sorted(merged.items()) if c != 0.0
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.terms:
-            return "RadialTerms(0)"
-        bits = []
-        for c, p, e in self.terms:
-            s = f"{c:+.6g} r^{p}"
-            if e:
-                s += " log r"
-            bits.append(s)
-        return "RadialTerms(" + " ".join(bits) + ")"
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def laplacian(self, d: int) -> "RadialTerms":
-        """Radial Laplacian f'' + (d-1)/r f' applied termwise (exact)."""
+    def laplacian(self) -> "RadialTerms":
+        """Planar radial Laplacian f'' + f'/r applied termwise (exact)."""
         out = []
         for c, p, e in self.terms:
-            out.append((c * p * (p + d - 2), p - 2, e))
+            out.append((c * p * p, p - 2, e))
             if e == 1:
-                out.append((c * (2 * p + d - 2), p - 2, 0))
+                out.append((c * (2 * p), p - 2, 0))
         return RadialTerms(out)
 
     def derivative(self) -> "RadialTerms":
@@ -240,9 +206,7 @@ class RadialTerms:
 
 def phi_profile(params: SplineParams) -> RadialTerms:
     """Radial profile of the fundamental solution."""
-    c = fs_constant(params.m, params.d)
-    e = 1 if params.d % 2 == 0 else 0
-    return RadialTerms([(c, params.kernel_power, e)])
+    return RadialTerms([(fs_constant(params.m), 2 * params.m - 2, 1)])
 
 
 def iterated_laplacian_profile(params: SplineParams, q: int) -> RadialTerms:
@@ -251,7 +215,7 @@ def iterated_laplacian_profile(params: SplineParams, q: int) -> RadialTerms:
         raise ValueError("q must be nonnegative")
     prof = phi_profile(params)
     for _ in range(q):
-        prof = prof.laplacian(params.d)
+        prof = prof.laplacian()
     return prof
 
 
@@ -260,16 +224,16 @@ def iterated_laplacian_profile(params: SplineParams, q: int) -> RadialTerms:
 # ---------------------------------------------------------------------------
 
 
-def _as_points(x, dim: int = 2) -> np.ndarray:
+def _as_points(x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
-    if a.shape[-1] != dim:
-        raise ValueError(f"points must have trailing dimension {dim}")
+    if a.shape[-1] != 2:
+        raise ValueError("points must have trailing dimension 2")
     return a
 
 
 def phi(params: SplineParams, x) -> float:
     """Scalar kernel value ``phi(x)``; raises on a (near-)zero argument."""
-    a = _as_points(x, params.d)
+    a = _as_points(x)
     r = float(np.linalg.norm(a, axis=-1))
     if r < SINGULAR_TOL:
         raise SingularEvaluationError(f"phi evaluated at |x| = {r:.3e}")
@@ -279,20 +243,15 @@ def phi(params: SplineParams, x) -> float:
 def phi_from_r2(params: SplineParams, r2) -> np.ndarray:
     """Kernel values from squared distances, avoiding the square root.
 
-    For even ambient dimension the kernel is C r^(2m-d) log r, an integer
-    power of r^2 times half a log of r^2; zero distances map to the
-    continuous limit 0.  The value is formed in place, in the operation
-    order ``(c * r2**p) * log(r2)`` that fixes its bits; scalars give 0-d
-    arrays.
+    The kernel C r^(2m-2) log r is an integer power of r^2 times half a log
+    of r^2; zero distances map to the continuous limit 0.  The value is
+    formed in place, in the operation order ``(c * r2**p) * log(r2)`` that
+    fixes its bits; scalars give 0-d arrays.
     """
     r2 = np.asarray(r2, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if params.d % 2:
-            out = np.asarray(np.sqrt(r2) ** (2 * params.m - params.d))
-            out *= fs_constant(params.m, params.d)
-            return out
-        out = np.asarray(r2 ** (params.m - params.d // 2))
-        out *= 0.5 * fs_constant(params.m, params.d)
+        out = np.asarray(r2 ** (params.m - 1))
+        out *= 0.5 * fs_constant(params.m)
         out *= np.log(r2)
     out[~(r2 > 0.0)] = 0.0
     return out

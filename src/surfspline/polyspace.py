@@ -37,14 +37,13 @@ def monomial_exponents(degree: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class PolyBasis:
-    """Monomial basis of polynomials of total degree <= ``degree``."""
+    """Monomial basis: the monomials x^i y^j of its exponent pairs ``(i, j)``."""
 
-    degree: int
     exponents: tuple[tuple[int, int], ...]
 
     @classmethod
     def up_to_degree(cls, degree: int) -> "PolyBasis":
-        return cls(degree=degree, exponents=monomial_exponents(degree))
+        return cls(exponents=monomial_exponents(degree))
 
     @classmethod
     def for_spline_order(cls, m: int) -> "PolyBasis":

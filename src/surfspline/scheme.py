@@ -85,13 +85,9 @@ class InteriorQuadrature:
     nodes: np.ndarray
     weights: np.ndarray
     level: int
-    n_theta: int
 
     def __len__(self) -> int:
         return self.nodes.shape[0]
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, np.asarray(values)))
 
 
 def _check_star_shaped(curve: DomainCurve) -> None:
@@ -131,7 +127,7 @@ def interior_quadrature(curve: DomainCurve, level: int) -> InteriorQuadrature:
         [r * np.cos(theta)[:, None], r * np.sin(theta)[:, None]], axis=-1
     ).reshape(-1, 2)
     return InteriorQuadrature(
-        nodes=nodes, weights=w.reshape(-1), level=level, n_theta=n_theta
+        nodes=nodes, weights=w.reshape(-1), level=level
     )
 
 
@@ -235,10 +231,6 @@ class SchemeGrids:
     quadrature: InteriorQuadrature
     boundary_nodes: BoundaryGrid
 
-    @property
-    def n_solver(self) -> int:
-        return self.boundary.n
-
 
 def scheme_grids(
     curve: DomainCurve,
@@ -283,14 +275,10 @@ class Approximant:
     coefficients: np.ndarray
     basis: PolyBasis
     poly_coeffs: np.ndarray
-    h: float = np.nan
     diagnostics: dict = field(default_factory=dict)
 
     def poly_eval(self, points) -> np.ndarray:
         return self.basis.eval(points) @ self.poly_coeffs
-
-    def __call__(self, points) -> np.ndarray:
-        return eval_approximant(self, points)
 
     def save_csv(self, path) -> None:
         """Write centers with coefficients and the polynomial part.
@@ -305,35 +293,6 @@ class Approximant:
                 fh.write(f"poly,{i},{j},{float(c)!r}\n")
             for (x, y), a in zip(self.centers, self.coefficients):
                 fh.write(f"center,{float(x)!r},{float(y)!r},{float(a)!r}\n")
-
-    @staticmethod
-    def load_csv(path, params: SplineParams) -> "Approximant":
-        kinds, xs, ys, vals = [], [], [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline()
-            if header.strip() != "kind,x,y,value":
-                raise ValueError(f"unrecognized approximant file header: {header!r}")
-            for line in fh:
-                kind, x, y, v = line.strip().split(",")
-                kinds.append(kind)
-                xs.append(float(x))
-                ys.append(float(y))
-                vals.append(float(v))
-        kinds = np.array(kinds)
-        pts = np.stack([xs, ys], axis=-1)
-        vals = np.asarray(vals)
-        pmask = kinds == "poly"
-        exps = [(int(a), int(b)) for a, b in pts[pmask]]
-        basis = PolyBasis(
-            degree=max((i + j for i, j in exps), default=0), exponents=tuple(exps)
-        )
-        return Approximant(
-            params=params,
-            centers=pts[~pmask],
-            coefficients=vals[~pmask],
-            basis=basis,
-            poly_coeffs=vals[pmask],
-        )
 
 
 def eval_approximant(apx: Approximant, points, chunk_entries: int | None = None):
@@ -412,7 +371,6 @@ def assemble_TXi(
         coefficients=np.asarray(coeffs).ravel(),
         basis=solution.basis,
         poly_coeffs=solution.poly_coeffs,
-        h=h,
         diagnostics={
             "interior_stability_max": float(np.max(stab_i)),
             "boundary_stability_max": stab_b,

@@ -82,12 +82,9 @@ def test_approximate_with_centers_and_report(tmp_path, capsys):
     txt = capsys.readouterr().out
     assert "max probe error" in txt
     assert cpath.read_text(encoding="utf-8").startswith("x,y\n")
-    from surfspline.kernel import SplineParams
-    from surfspline.scheme import Approximant
-
-    apx = Approximant.load_csv(out, SplineParams(2, 2))
-    assert apx.centers.shape[0] > 20
-    assert apx.poly_coeffs.shape == (3,)
+    kinds = [line.split(",")[0] for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert kinds.count("center") > 20
+    assert kinds.count("poly") == 3
 
 
 def test_approximate_oversampled_adds_boundary_centers(tmp_path, capsys):
@@ -172,3 +169,26 @@ def test_converge_from_config(tmp_path, capsys, monkeypatch):
     table = (tmp_path / "runout.csv").read_text(encoding="utf-8")
     assert table.startswith("h,fill,n_centers,n_boundary_nodes,err_linf,status")
     assert (tmp_path / "runout_rates.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["target = gaus", "m = 1", "quad_level = 1", "n_solver = 63",
+     "oversample = 0.5", "probe_grid = 1", None, "missing"],
+)
+def test_converge_config_errors_exit_2_without_output(tmp_path, capsys, line):
+    # a bad config is an input error (exit 2), not a failed rung (exit 1)
+    cfg = tmp_path / "exp.cfg"
+    if line is None:
+        cfg.write_text("", encoding="utf-8")
+    elif line != "missing":
+        cfg.write_text(
+            "[experiment]\nh_ladder = 0.3 0.25 0.2\nnorms = 2 inf\n"
+            f"{line}\noutput = {tmp_path / 'runout'}\n",
+            encoding="utf-8",
+        )
+    assert main(["converge", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "h=" not in captured.out
+    assert not list(tmp_path.glob("runout*"))

@@ -10,7 +10,6 @@ from scipy.spatial import cKDTree
 from surfspline.errors import DensityUnreachableError, ReachViolationError, StarShapeError
 from surfspline.geometry import (
     BoundaryGrid,
-    CenterSet,
     circle,
     curve_from_spec,
     ellipse,
@@ -111,7 +110,8 @@ def test_fill_distance_monotone_under_refinement(disk, rng):
 def test_generate_centers_fill_band(disk, h):
     cs = generate_centers(disk, h, seed=0)
     assert h <= cs.fill <= 2 * h
-    assert 0.5 * h <= cs.separation <= 1.2 * h
+    separation = np.min(cKDTree(cs.points).query(cs.points, k=2)[0][:, 1])
+    assert 0.5 * h <= separation <= 1.2 * h
     assert 1.0 <= len(cs) * h * h <= 2.2  # density matches the unit-disk area
 
 
@@ -137,12 +137,12 @@ def test_center_set_csv_roundtrip(disk, tmp_path):
     cs = generate_centers(disk, 0.2, seed=1)
     path = tmp_path / "centers.csv"
     cs.save_csv(path)
-    header = path.read_text(encoding="utf-8").splitlines()[0]
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
     assert header == "x,y"
-    loaded = CenterSet.load_csv(path, curve=disk)
-    np.testing.assert_array_equal(loaded.points, cs.points)
-    assert loaded.separation == pytest.approx(cs.separation, rel=1e-12)
-    assert loaded.fill == pytest.approx(cs.fill, rel=0.05)
+    points = np.array([[float(v) for v in row.split(",")] for row in rows])
+    # every bit of every coordinate survives the text
+    np.testing.assert_array_equal(points, cs.points)
+    assert fill_distance(points, disk) == pytest.approx(cs.fill, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +154,10 @@ def test_oversample_layer_depths(disk):
     # nu = 2, m = 2, h = 0.1: five layers at depths h^2 * {1/2, 1, 2, 3, 4}
     base = generate_centers(disk, 0.1, seed=0)
     ov = oversample_boundary(disk, base, 0.1, 2.0, 2)
-    assert ov.n_base == len(base)
+    # the base points come first and unchanged, then the layers
+    np.testing.assert_array_equal(ov.points[: len(base)], base.points)
     assert ov.boundary_spacing == pytest.approx(0.01)
-    added = ov.points[ov.n_base :]
+    added = ov.points[len(base) :]
     n_layer = len(added) // 5
     assert len(added) == 5 * n_layer
     rho = signed_distance(disk, added)

@@ -1,6 +1,7 @@
 """Experiment configuration, convergence driver, identity and budget checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,16 @@ def test_config_validation():
         ExperimentConfig(norms=("3",))
     with pytest.raises(ValueError):
         ExperimentConfig(h_ladder=(0.2, 0.1, -0.05))
+    # values that fail before the first rung, or on every rung
+    for field, value, message in [
+        ("m", 1, "m >= 2"),
+        ("n_solver", 63, "even and >= 4"),
+        ("n_solver", 2, "even and >= 4"),
+        ("quad_level", 1, "at least 2"),
+        ("oversample", 0.5, "must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{field: value})
 
 
 def test_config_rejects_unknown_targets_and_curves(tmp_path):
@@ -47,6 +58,31 @@ def test_config_rejects_unknown_targets_and_curves(tmp_path):
     path.write_text("[experiment]\ntarget = gaus\nh_ladder = 0.3 0.25 0.2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown target 'gaus'"):
         ExperimentConfig.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "no \\[experiment\\] section"), ("m = 2\n", "no section headers")],
+)
+def test_config_file_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "broken.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=message) as exc:
+        ExperimentConfig.from_file(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_converge_rejects_a_probe_grid_without_interior_points(monkeypatch):
+    # raised during set-up, before the first rung generates its centers
+    from surfspline import harness
+
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung ran")
+
+    monkeypatch.setattr(harness, "generate_centers", no_rung)
+    cfg = ExperimentConfig(target="wave", h_ladder=(0.3, 0.25, 0.2), probe_grid=1)
+    with pytest.raises(ValueError, match="probe_grid = 1 holds no point inside"):
+        converge(cfg)
 
 
 def test_config_from_file(tmp_path):
@@ -96,26 +132,18 @@ def test_config_from_file_plain_numbers(tmp_path):
 
 
 def test_budget_sup_norm():
-    b = oversampling_budget(2, 2, math.inf)
-    assert b.nu == pytest.approx(2.0)
-    assert b.feasible
+    assert oversampling_budget(2, math.inf) == pytest.approx(2.0)
 
 
 def test_budget_finite_p():
-    b = oversampling_budget(2, 2, 2.0)
-    assert b.nu == pytest.approx(1.6)  # 2mp/(mp+1) = 8/5
-    assert b.feasible  # the d <= 2 constraint is vacuous
-
-
-def test_budget_infeasible_in_3d():
-    b = oversampling_budget(3, 2, 2.0)
-    assert b.nu == pytest.approx(1.6)
-    assert not b.feasible  # needs p <= d/((d-2)m) = 3/2
+    # 2mp/(mp+1) at m = 2: 8/5 for p = 2 and 4/3 for p = 1
+    assert oversampling_budget(2, 2.0) == pytest.approx(8.0 / 5.0)
+    assert oversampling_budget(2, 1.0) == pytest.approx(4.0 / 3.0)
 
 
 def test_budget_rejects_bad_p():
     with pytest.raises(ValueError):
-        oversampling_budget(2, 2, 0.5)
+        oversampling_budget(2, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +197,10 @@ def test_report_tables_deterministic(small_report, tmp_path):
 
 
 def test_report_write_files(small_report, tmp_path):
-    _, report = small_report
-    main, rates_path = report.write(tmp_path / "sub")
+    cfg, report = small_report
+    stem = tmp_path / "sub" / "experiment"
+    moved = ErrorReport(replace(cfg, output=str(stem)), report.rungs, report.rates)
+    main, rates_path = moved.write()
     assert main == tmp_path / "sub" / "experiment.csv"
     table = main.read_bytes()
     rates = rates_path.read_bytes()

@@ -1,5 +1,7 @@
 """Fundamental-solution values, derivative kernels, and their symmetries."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -37,17 +39,23 @@ def test_phi_at_radius_e(params2):
     assert val == pytest.approx(C22 * np.e**2, rel=1e-14)
 
 
-def test_phi_3d_linear_radial_part():
-    # 2m - d = 1 makes the profile C * r; value at r=2 is twice the constant
-    params = SplineParams(m=2, d=3)
-    assert phi(params, (0.0, 2.0, 0.0)) == pytest.approx(
-        2.0 * fs_constant(2, 3), rel=1e-14
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_fs_constant_equals_the_even_d_expression_bitwise(m):
+    # the even-d expression at d = 2, in its operation order, is the oracle
+    d = 2
+    sign = (-1.0) ** (d // 2 + 1)
+    oracle = sign / (
+        2.0 ** (2 * m - 1)
+        * math.pi ** (d / 2.0)
+        * math.factorial(m - 1)
+        * math.factorial(m - d // 2)
     )
+    assert fs_constant(m) == oracle
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_phi_from_r2_matches_profile(d, rng):
-    params = SplineParams(m=2, d=d)
+@pytest.mark.parametrize("m", [2, 3])
+def test_phi_from_r2_matches_profile(m, rng):
+    params = SplineParams(m=m)
     r = rng.uniform(0.2, 2.0, size=50)
     r = r[np.abs(r - 1.0) > 0.05]  # near r = 1 the log vanishes and rtol means nothing
     reg, logc = phi_profile(params).eval_split(r)
@@ -57,13 +65,12 @@ def test_phi_from_r2_matches_profile(d, rng):
     assert phi_from_r2(params, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
     # scalars are accepted, and give the bits of the same entry of an array
     assert float(phi_from_r2(params, r[3] ** 2)) == phi_from_r2(params, r * r)[3]
-    if d == 2:
-        # the operation order (c * r2**p) * log(r2) is kept bit for bit
-        r2 = np.concatenate([r * r, [0.0]])
-        c = 0.5 * fs_constant(2, 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            oracle = np.where(r2 > 0.0, c * r2**1 * np.log(r2), 0.0)
-        np.testing.assert_array_equal(phi_from_r2(params, r2), oracle)
+    # the operation order (c * r2**p) * log(r2) is kept bit for bit
+    r2 = np.concatenate([r * r, [0.0]])
+    c = 0.5 * fs_constant(m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        oracle = np.where(r2 > 0.0, c * r2 ** (m - 1) * np.log(r2), 0.0)
+    np.testing.assert_array_equal(phi_from_r2(params, r2), oracle)
 
 
 @pytest.mark.parametrize(
@@ -92,7 +99,7 @@ def test_singular_evaluation_raises(params2):
         phi(params2, (1e-14, 0.0))
 
 
-@pytest.mark.parametrize("m,d", [(1, 2), (1, 3), (2, 5)])
+@pytest.mark.parametrize("m,d", [(1, 2), (1, 3), (2, 5), (2, 3), (3, 4)])
 def test_invalid_orders_rejected(m, d):
     with pytest.raises((ValueError, DomainValidityError)):
         SplineParams(m=m, d=d)

@@ -54,3 +54,17 @@ def test_run_convergence_writes_both_csvs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "tiny.csv").is_file()
     assert (tmp_path / "out" / "tiny_rates.csv").is_file()
+
+
+@pytest.mark.parametrize("line", ["target = gaus", "probe_grid = 1"])
+def test_run_convergence_config_errors_exit_2_without_output(tmp_path, line):
+    stem = tmp_path / "out" / "tiny"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        f"[experiment]\nh_ladder = 0.3 0.25 0.2\n{line}\noutput = {stem}\n",
+        encoding="utf-8",
+    )
+    proc = _run_script(["run_convergence.py", str(cfg)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
