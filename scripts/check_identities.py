@@ -26,7 +26,7 @@ from surfspline.scheme import (
     probe_points,
     scheme_grids,
 )
-from surfspline.targets import named_target
+from surfspline.targets import TARGET_LIBRARY, named_target
 
 import numpy as np
 
@@ -37,7 +37,7 @@ def main() -> int:
     ap.add_argument("--m", type=int, default=2)
     ap.add_argument("--n", type=int, default=256, help="boundary nodes")
     ap.add_argument("--level", type=int, default=32, help="interior quadrature level")
-    ap.add_argument("--target", default="expx")
+    ap.add_argument("--target", default="expx", choices=sorted(TARGET_LIBRARY))
     args = ap.parse_args()
 
     curve = curve_from_spec(args.curve)

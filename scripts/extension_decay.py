@@ -15,14 +15,14 @@ import numpy as np
 from surfspline.geometry import curve_from_spec
 from surfspline.kernel import SplineParams
 from surfspline.scheme import ExtensionField, scheme_grids
-from surfspline.targets import named_target
+from surfspline.targets import TARGET_LIBRARY, named_target
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--curve", default="disk")
     ap.add_argument("--m", type=int, default=2)
-    ap.add_argument("--target", default="expx")
+    ap.add_argument("--target", default="expx", choices=sorted(TARGET_LIBRARY))
     ap.add_argument("--h", type=float, default=0.1)
     ap.add_argument("--rays", type=int, default=4)
     ap.add_argument("--samples", type=int, default=12)

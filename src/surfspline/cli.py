@@ -18,7 +18,10 @@ Subcommands:
     Print the principal symbol matrix of the boundary system and its
     determinant (a singular matrix would make the solver unusable).
 
-All CSV output is UTF-8 with LF line endings and a header row.
+Point sets are ``(n, 2)`` arrays.  All CSV output is UTF-8 with LF line
+endings and a header row.  A ``ValueError`` or ``OSError`` from any
+subcommand (a bad argument, config or path) prints ``error: ...`` to stderr
+and exits 2; argparse rejects unknown options and names the same way.
 """
 
 from __future__ import annotations
@@ -52,12 +55,7 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def _cmd_converge(args) -> int:
-    # converge records rung failures itself; what it raises is a config fault
-    try:
-        report = converge(ExperimentConfig.from_file(args.config), verbose=not args.quiet)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = converge(ExperimentConfig.from_file(args.config), verbose=not args.quiet)
     main_csv, rates_csv = report.write()
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -134,12 +132,10 @@ def _cmd_extend(args) -> int:
     elif args.ray:
         pts = _ray_points(args.ray)
     else:
-        print("error: provide --points or --ray", file=sys.stderr)
-        return 2
+        raise ValueError("provide --points or --ray")
     grids = scheme_grids(curve, args.h, n_solver=args.n)
     field = ExtensionField(params, grids, f)
-    vals = field(pts)
-    rows = np.column_stack([pts, np.atleast_1d(vals)])
+    rows = np.column_stack([pts, field.evaluate(pts)])
     if args.output:
         _write_csv(args.output, "x,y,value", rows)
         print(f"wrote {args.output}")
@@ -220,7 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # converge records rung failures itself, so what any subcommand raises
+    # as ValueError or OSError is an input fault: a bad argument, config or path
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

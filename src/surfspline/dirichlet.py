@@ -123,18 +123,16 @@ class DirichletSolution:
     trace_estimate: float = float("nan")
 
     def poly_eval(self, points) -> np.ndarray:
-        return self.basis.eval(np.atleast_2d(points)) @ self.poly_coeffs
+        return self.basis.eval(points) @ self.poly_coeffs
 
     def evaluate(self, points) -> np.ndarray:
         """u = p + sum_j V_j g_j at interior (or exterior) points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
         out = self.poly_eval(pts)
         for j in range(self.params.m):
             out = out + layer_potential(
                 self.params, j, self.grid, self.densities[j], pts
             )
-        if np.asarray(points).ndim == 1:
-            return float(out[0])
         return out
 
     def boundary_trace(self, k: int, side: str = "inside"):

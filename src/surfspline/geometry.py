@@ -134,13 +134,14 @@ class DomainCurve:
         Solves |origin + s e(theta)| = polar_radius(angle of that point) by
         bisection; requires the domain to be star-shaped about each origin
         (always true for convex domains, and for mildly perturbed stars when
-        the origin is not too close to the boundary).  ``origin`` is one
-        point, giving ``(n_angles,)`` distances, or an ``(n, 2)`` array of
-        them, giving ``(n, n_angles)``.  Every origin's rays are halved until
-        their own widest bracket is below ``tol`` (at most 60 times), so a
-        row's distances do not depend on the other origins in the batch.
+        the origin is not too close to the boundary).  ``origin`` is an
+        ``(n, 2)`` array of points and the result is ``(n, n_angles)``; take
+        ``origin[None]`` and row 0 for a single point.  Every origin's rays
+        are halved until their own widest bracket is below ``tol`` (at most
+        60 times), so a row's distances do not depend on the other origins
+        in the batch.
         """
-        origin = np.asarray(origin, dtype=float)
+        o = np.asarray(origin, dtype=float)
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
         ca, sa = np.cos(angles), np.sin(angles)
 
@@ -149,7 +150,6 @@ class DomainCurve:
             qy = o[:, 1:] + s * sa
             return np.hypot(qx, qy) - self.polar_radius(np.arctan2(qy, qx))
 
-        o = np.atleast_2d(origin)
         lo = np.zeros((o.shape[0], angles.size))
         hi = np.full_like(lo, 2.5 * self.max_radius())
         if np.any(level(o, lo) >= 0):
@@ -170,7 +170,7 @@ class DomainCurve:
                 if not rows.size:
                     break
         out[rows] = 0.5 * (lo + hi)
-        return out if origin.ndim > 1 else out[0]
+        return out
 
 
 def circle(radius: float = 1.0) -> DomainCurve:
@@ -313,10 +313,10 @@ def signed_distance(curve: DomainCurve, points, return_foot: bool = False):
     Newton iteration on the stationarity condition of the squared distance,
     started from a coarse parameter sweep (and restarted from a finer sweep
     for any stragglers).  The sign comes from the outward normal at the foot
-    point.
+    point.  ``points`` is an ``(n, 2)`` array; the distances, and with
+    ``return_foot`` the foot parameters, are ``(n,)`` arrays.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    scalar_in = np.asarray(points).ndim == 1
+    pts = np.asarray(points, dtype=float)
     n_coarse = 64
     tc = 2 * np.pi * np.arange(n_coarse) / n_coarse
     gc = curve.point(tc)
@@ -368,9 +368,6 @@ def signed_distance(curve: DomainCurve, points, return_foot: bool = False):
     side = np.sign(dx * nrm[..., 0] + dy * nrm[..., 1])
     # points numerically on the curve get side 0 -> signed distance 0
     rho = side * dist
-    if scalar_in:
-        rho = float(rho[0])
-        t = float(t[0])
     if return_foot:
         return rho, t
     return rho

@@ -35,7 +35,6 @@ deviation from this relation.
 from __future__ import annotations
 
 import warnings
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,7 +62,6 @@ _MIN_RESOLVE = 34.0
 _MAX_NODES = 16384
 
 
-@lru_cache(maxsize=32)
 def kress_log_weights(n: int) -> np.ndarray:
     """Quadrature weights R_q for the periodic log factor.
 
@@ -183,15 +181,14 @@ def layer_potential(
     *,
     max_nodes: int = _MAX_NODES,
 ) -> np.ndarray:
-    """Evaluate V_j density at off-boundary points.
+    """Evaluate V_j density at off-boundary points, an ``(n, 2)`` array.
 
     The density is trigonometrically upsampled per point group until the
     quadrature resolves the distance to the boundary; points closer than the
     finest resolvable distance trigger :class:`NearBoundaryAccuracyWarning`.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    scalar_in = np.asarray(points).ndim == 1
-    rho = np.atleast_1d(signed_distance(grid.curve, pts))
+    pts = np.asarray(points, dtype=float)
+    rho = signed_distance(grid.curve, pts)
     speed_max = float(np.max(grid.speed))
     dist_param = np.abs(rho) / speed_max
     factors = _needed_factor(grid.n, dist_param, max_nodes)
@@ -207,8 +204,6 @@ def layer_potential(
         sub = BoundaryGrid.build(grid.curve, grid.n * int(f)) if f > 1 else grid
         dens = trig_upsample(density, sub.n) if f > 1 else density
         out[sel] = _potential_sum(params, j, sub, dens, pts[sel])
-    if scalar_in:
-        return float(out[0])
     return out
 
 

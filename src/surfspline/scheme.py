@@ -151,7 +151,7 @@ def volume_potential(
     nodes, with one ``density_fn`` call per tile.  Each point's value is one
     sum over its own nodes, so it does not depend on the tiling.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
     n_theta = max(64, 4 * level)
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
     u, wu = np.polynomial.legendre.leggauss(level)
@@ -190,7 +190,7 @@ def greens_representation(
     cancels the contributions of intermediate derivatives.  Serves as the
     independent oracle for the kernel normalization constant.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
     grid = BoundaryGrid.build(curve, n)
     traces = [f.trace(j, grid.points, grid.normals) for j in range(2 * params.m)]
     vals = volume_potential(params, curve, f.m_laplacian, pts, level)
@@ -296,20 +296,20 @@ class Approximant:
 
 
 def eval_approximant(apx: Approximant, points, chunk_entries: int | None = None):
-    """Evaluate the kernel expansion at ``points``.
+    """Evaluate the kernel expansion at the ``(n, 2)`` array ``points``.
 
     The kernel sum runs over :func:`~surfspline.kernel.tiles` of the points
     against the centers, with ``chunk_entries`` as the tile budget (default
     :data:`~surfspline.kernel.TILE_ENTRIES`); a point's value does not
     depend on the budget.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
     out = apx.poly_eval(pts)
     if apx.centers.shape[0]:
         for lo, hi in tiles(pts.shape[0], apx.centers.shape[0], chunk_entries):
             ker = _phi_matrix(apx.params, pts[lo:hi], apx.centers)
             out[lo:hi] += ker @ apx.coefficients
-    return out if np.asarray(points).ndim > 1 else float(out[0])
+    return out
 
 
 def assemble_TXi(
@@ -360,10 +360,7 @@ def assemble_TXi(
             gamma=gamma_boundary, max_radius=max_radius,
         )
         stab_b[j] = float(np.max(s_j))
-        dens = nj_rows[j]
-        if bn.n != grids.boundary.n:
-            dens = trig_upsample(dens, bn.n)
-        coeffs += B_j.T @ (bn.weights * dens)
+        coeffs += B_j.T @ (bn.weights * trig_upsample(nj_rows[j], bn.n))
 
     return Approximant(
         params=params,
@@ -417,7 +414,7 @@ class ExtensionField:
         )
 
     def volume_term(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
         inside = signed_distance(self.grids.curve, pts) < 0.0
         out = np.empty(pts.shape[0])
         if np.any(inside):
@@ -432,7 +429,7 @@ class ExtensionField:
 
     def convolution_part(self, points) -> np.ndarray:
         """Field minus polynomial: the part that decays at infinity."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
         out = self.volume_term(pts)
         g = self.grids.boundary
         for j in range(self.params.m):
@@ -440,12 +437,8 @@ class ExtensionField:
         return out
 
     def evaluate(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
         return self.convolution_part(pts) + self.solution.poly_eval(pts)
-
-    def __call__(self, points):
-        out = self.evaluate(np.atleast_2d(np.asarray(points, dtype=float)))
-        return out if np.asarray(points).ndim > 1 else float(out[0])
 
 
 def extension_continuity(
@@ -511,7 +504,7 @@ def error_kernel_norms(
 
     ``interior``: sup over probes x of the integral over the domain of
     |phi(x-a) - sum_xi a(a,xi) phi(x-xi)|, the L_inf -> L_inf norm of the
-    interior error kernel.  ``boundary[j]`` for j = 0, 1: same with the
+    interior error kernel.  ``boundary[j]`` for j = 0 .. m-1: same with the
     order-j boundary kernel and boundary reproduction, integrated over the
     boundary.  Their decay exponents in h are the raw ingredients of the
     convergence rates, but they hold only on rungs that
@@ -548,7 +541,7 @@ def error_kernel_norms(
             j, bg.points, bg.normals, X, h, M,
             gamma=GAMMA_BOUNDARY_DEFAULT, max_radius=max_radius,
         )[0]
-        for j in (0, 1)
+        for j in range(params.m)
     ]
     # every block runs over tiles of the probes: the centers' kernel columns
     # phi_XP, the interior sums against them over tiles of the quadrature,
@@ -556,7 +549,7 @@ def error_kernel_norms(
     # cut once per probe-tile width (a full tile's and the ragged last one's)
     quad_tiles = {}
     interior = np.zeros(probes.shape[0])
-    boundary = np.zeros((2, probes.shape[0]))
+    boundary = np.zeros((params.m, probes.shape[0]))
     for lo, hi in tiles(probes.shape[0], max(X.shape[0], bg.n)):
         P = probes[lo:hi]
         phi_XP = _phi_matrix(params, X, P)  # (n_centers, tile)
@@ -574,7 +567,7 @@ def error_kernel_norms(
             boundary[j, lo:hi] = np.abs(exact, out=exact) @ bg.weights
     return {
         "interior": float(np.max(interior)),
-        "boundary": {j: float(np.max(boundary[j])) for j in (0, 1)},
+        "boundary": {j: float(np.max(boundary[j])) for j in range(params.m)},
     }
 
 

@@ -127,6 +127,24 @@ def test_extend_stdout_points_mode(capsys):
     assert first[2] == pytest.approx(0.2**2 * 0.3, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approximate", "--h", "0.3", "--oversample", "0.5"],
+        ["solve-dirichlet", "--n", "63"],
+        ["extend", "--m", "1", "--points", "0,0"],
+        ["extend", "--points", "1,2,3"],
+    ],
+)
+def test_bad_arguments_exit_2_without_output(tmp_path, capsys, argv):
+    # every subcommand reports an input error the way converge does
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_extend_requires_points_or_ray(capsys):
     assert main(["extend"]) == 2
     assert "provide --points or --ray" in capsys.readouterr().err

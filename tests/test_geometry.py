@@ -296,7 +296,7 @@ def test_ray_exit_batch_equals_single_origins(spec, tol, monkeypatch):
     for t in (1e-14, tol):
         batch = curve.ray_exit(origins, theta, t)
         assert batch.shape == (len(origins), theta.size)
-        single = [curve.ray_exit(o, theta, t) for o in origins]
+        single = [curve.ray_exit(o[None], theta, t)[0] for o in origins]
         assert single[0].shape == theta.shape
         np.testing.assert_array_equal(batch, np.stack(single))
     # every exit point lies on the curve
@@ -313,7 +313,7 @@ def test_ray_exit_batch_equals_single_origins(spec, tol, monkeypatch):
     steps = set()
     for o in origins:
         calls.clear()
-        curve.ray_exit(o, theta, tol)
+        curve.ray_exit(o[None], theta, tol)
         steps.add(len(calls))
     assert len(steps) > 1
 

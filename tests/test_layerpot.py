@@ -70,7 +70,7 @@ def test_trig_upsample_rejects_downsampling():
 def test_single_layer_unit_density_at_center(params2, grid256):
     # all boundary points sit at distance 1 from the origin, where the radial
     # profile r^2 log r vanishes
-    val = layer_potential(params2, 0, grid256, np.ones(grid256.n), (0.0, 0.0))
+    val = layer_potential(params2, 0, grid256, np.ones(grid256.n), np.zeros((1, 2)))[0]
     assert abs(val) < 1e-13
 
 
@@ -91,7 +91,7 @@ def test_layer_potential_vs_adaptive_quadrature(params2, grid256):
             part, err = scipy.integrate.quad(integrand, a, b, epsabs=1e-13, limit=200)
             oracle += part
         t = grid256.t
-        val = layer_potential(params2, j, grid256, np.cos(3 * t) + 0.5, x)
+        val = layer_potential(params2, j, grid256, np.cos(3 * t) + 0.5, x[None])[0]
         assert val == pytest.approx(oracle, abs=1e-10)
 
 
@@ -106,7 +106,7 @@ def test_layer_potential_near_boundary_warning(params2, disk):
     grid = BoundaryGrid.build(disk, 32)
     with pytest.warns(NearBoundaryAccuracyWarning):
         layer_potential(
-            params2, 0, grid, np.ones(32), (1.0 - 1e-6, 0.0), max_nodes=64
+            params2, 0, grid, np.ones(32), [[1.0 - 1e-6, 0.0]], max_nodes=64
         )
 
 

@@ -119,7 +119,7 @@ def _volume_potential_loop(params, curve, density_fn, points, level):
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     out = np.empty(len(points))
     for i, x in enumerate(points):
-        s_exit = curve.ray_exit(x, theta)
+        s_exit = curve.ray_exit(x[None], theta)[0]
         s = s_exit[:, None] * u[None, :]
         w = (2 * np.pi / n_theta) * (s_exit[:, None] * wu[None, :]) * s
         alpha = x[None, None, :] + s[..., None] * dirs[:, None, :]
@@ -461,11 +461,10 @@ def test_extension_convolution_part_subpolynomial(gauss_extension):
     assert slope < 0.6
 
 
-def test_extension_scalar_interface(disk):
+def test_extension_reproduces_a_cubic_inside(disk):
     grids = scheme_grids(disk, 0.2, n_solver=128)
     f = named_target("cubicmix", 2)
-    val = ExtensionField(SplineParams(2, 2), grids, f)((0.2, 0.3))
-    assert isinstance(val, float)
+    val = ExtensionField(SplineParams(2, 2), grids, f).evaluate([[0.2, 0.3]])[0]
     assert val == pytest.approx(0.2**2 * 0.3, abs=1e-6)
 
 
@@ -487,6 +486,15 @@ def test_error_kernel_norms_structure(disk, params2):
     assert set(out["boundary"]) == {0, 1}
     assert 0 < out["interior"] < 1.0
     assert all(v > 0 for v in out["boundary"].values())
+
+
+def test_error_kernel_norms_has_every_boundary_order(disk):
+    # one boundary kernel per order j = 0 .. m-1, not only j = 0, 1
+    cs = generate_centers(disk, 0.1, seed=0)
+    out = error_kernel_norms(SplineParams(3, 2), disk, cs, M=4)
+    assert set(out["boundary"]) == {0, 1, 2}
+    assert np.isfinite(out["interior"])
+    assert all(np.isfinite(v) for v in out["boundary"].values())
 
 
 def _whole_block_error_kernel_norms(params, curve, centers):

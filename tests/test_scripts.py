@@ -36,6 +36,13 @@ def test_script_exits_cleanly(argv):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("script", ["check_identities.py", "extension_decay.py"])
+def test_script_rejects_an_unknown_target(script):
+    proc = _run_script([script, "--target", "gaus"])
+    assert proc.returncode == 2
+    assert "invalid choice: 'gaus'" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_run_convergence_writes_both_csvs(tmp_path):
     stem = tmp_path / "out" / "tiny"
     cfg = tmp_path / "tiny.cfg"
