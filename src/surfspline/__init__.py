@@ -45,7 +45,7 @@ from .harness import (
     greens_identity_check,
     oversampling_budget,
 )
-from .kernel import SplineParams, fs_constant, phi, phi_from_r2
+from .kernel import SplineParams, fs_constant, phi_from_r2
 from .layerpot import TraceMaps, layer_potential
 from .lpr import (
     boundary_reproduction_matrix,
@@ -73,7 +73,6 @@ from .targets import TargetFunction, named_target
 __all__ = [
     "SplineParams",
     "fs_constant",
-    "phi",
     "phi_from_r2",
     "DomainCurve",
     "BoundaryGrid",

@@ -19,8 +19,8 @@ Boundary operators: for a function ``f`` and a unit field ``n``,
     op_k f = (Laplacian^(k/2) f)            for even k,
     op_k f = n . grad (Laplacian^((k-1)/2) f)   for odd k.
 
-``pair_kernel(params, k, j, geom)`` applies op_k in the first and op_j in the
-second (source) argument of ``phi(x - alpha)`` on a block of point pairs whose
+``pair_kernel(geom, k, j)`` applies op_k in the first and op_j in the second
+(source) argument of ``phi(x - alpha)`` on a block of point pairs whose
 distances and direction cosines ``geom`` (a ``PairGeometry``) holds; these are
 the kernels of the layer potentials, of their one-sided traces and of their
 boundary restrictions, and all of them are evaluated there.
@@ -30,6 +30,21 @@ Radial profiles are represented exactly as finite sums ``c * r^p * log(r)^e``
 with integer powers ``p`` and ``e in {0, 1}``; this family is closed under the
 radial Laplacian and under d/dr, so all kernels in the package are evaluated
 from closed forms.
+
+A bulk kernel sum runs over :func:`tiles` of its targets, and keeps the work
+that does not depend on a tile out of the tile body:
+
+* A ``PairPlan`` holds the radial calculus of a call's (k, j) kernels, done
+  once per call: each order's factor groups with their profiles, the
+  direction cosines they need, and the distinct powers of r.  A tile's
+  ``PairGeometry`` forms each of those powers once and shares it across every
+  order and group; each piece's sum starts from its first term.
+* ``phi_from_r2`` works in two buffers a tile loop allocates once: one
+  takes r^2 and turns it into the values in place, the other takes log r^2.
+  Only a tile that holds a zero distance pays for the mask of the
+  continuous limit.
+
+Every value is the same, bit for bit, as a fresh per-call evaluation gives.
 """
 
 from __future__ import annotations
@@ -48,21 +63,23 @@ __all__ = [
     "RadialTerms",
     "phi_profile",
     "iterated_laplacian_profile",
-    "phi",
     "phi_from_r2",
     "TILE_ENTRIES",
     "tiles",
+    "PairPlan",
     "PairGeometry",
     "pair_kernel",
     "boundary_kernel",
 ]
 
-#: points closer than this are treated as coincident in scalar kernel calls
+#: a pair geometry refuses pairs closer than this as coincident
 SINGULAR_TOL = 1e-12
 
 #: entries (target rows x sources) of one tile of a bulk kernel sum: 2^15
-#: doubles are 256 KB, so a tile's temporaries stay in cache and are reused
-#: from the heap instead of being mapped and page-faulted afresh
+#: doubles are 256 KB, so a tile's arrays stay in cache.  The pair kernels'
+#: temporaries are reused from the heap instead of being mapped and
+#: page-faulted afresh; the phi tiles write into two buffers sized once per
+#: call for its largest tile
 TILE_ENTRIES = 1 << 15
 
 
@@ -166,22 +183,29 @@ class RadialTerms:
             return 0
         return min(p for _, p, _ in self.terms)
 
-    def eval_split(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def eval_split(
+        self, r: np.ndarray, powers=None
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Return ``(reg, logc)`` with value = reg + logc * log(r).
 
         Both pieces are smooth in ``r^2`` for the boundary-restricted kernels,
-        which is what the singularity-splitting quadrature relies on.
+        which is what the singularity-splitting quadrature relies on.  Each
+        piece sums its terms in order, starting from the first; a piece with
+        no term is None.  ``powers`` maps each nonzero power p of the terms
+        to ``r**p``, when a block's profiles share them.
         """
         r = np.asarray(r, dtype=float)
-        reg = np.zeros_like(r)
-        logc = np.zeros_like(r)
+        pieces = [None, None]
         for c, p, e in self.terms:
-            piece = c * r**p if p != 0 else np.full_like(r, c)
-            if e:
-                logc += piece
+            if p == 0:
+                term = np.full_like(r, c)
             else:
-                reg += piece
-        return reg, logc
+                term = c * (r**p if powers is None else powers[p])
+            if pieces[e] is None:
+                pieces[e] = term
+            else:
+                pieces[e] += term
+        return pieces[0], pieces[1]
 
     def value_at_zero_limit(self) -> tuple[float, float]:
         """Diagonal limit ``(reg0, logc0)`` keeping only the r^0 terms.
@@ -231,30 +255,29 @@ def _as_points(x) -> np.ndarray:
     return a
 
 
-def phi(params: SplineParams, x) -> float:
-    """Scalar kernel value ``phi(x)``; raises on a (near-)zero argument."""
-    a = _as_points(x)
-    r = float(np.linalg.norm(a, axis=-1))
-    if r < SINGULAR_TOL:
-        raise SingularEvaluationError(f"phi evaluated at |x| = {r:.3e}")
-    return float(phi_from_r2(params, r * r))
-
-
-def phi_from_r2(params: SplineParams, r2) -> np.ndarray:
+def phi_from_r2(params: SplineParams, r2, scratch=None) -> np.ndarray:
     """Kernel values from squared distances, avoiding the square root.
 
     The kernel C r^(2m-2) log r is an integer power of r^2 times half a log
     of r^2; zero distances map to the continuous limit 0.  The value is
     formed in place, in the operation order ``(c * r2**p) * log(r2)`` that
-    fixes its bits; scalars give 0-d arrays.
+    fixes its bits; scalars give 0-d arrays.  A tile loop passes its own
+    float array ``r2``, which is overwritten by the values and returned, and
+    a ``scratch`` array of its shape, which takes log(r2); without
+    ``scratch`` the input is left as it was.
     """
-    r2 = np.asarray(r2, dtype=float)
+    if scratch is None:
+        r2 = np.array(r2, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(r2 ** (params.m - 1))
-        out *= 0.5 * fs_constant(params.m)
-        out *= np.log(r2)
-    out[~(r2 > 0.0)] = 0.0
-    return out
+        log_r2 = np.log(r2, out=scratch)
+        r2 **= params.m - 1
+        r2 *= 0.5 * fs_constant(params.m)
+        r2 *= log_r2
+    # log(r2) > -inf exactly where r2 > 0, so only a block that holds a zero
+    # (or NaN) distance pays for the mask
+    if not log_r2.min(initial=np.inf) > -np.inf:
+        r2[~(log_r2 > -np.inf)] = 0.0
+    return r2
 
 
 def tiles(n_rows: int, n_sources: int, entries: int | None = None):
@@ -300,44 +323,78 @@ def _pair_groups(params: SplineParams, k: int, j: int):
     ]
 
 
-def _dot(a, b) -> np.ndarray:
-    """Planar dot product over the trailing axis."""
-    a = _as_points(a)
-    b = _as_points(b)
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+class PairPlan:
+    """The radial calculus of a bulk call's pair kernels, done once.
+
+    For each (k, j) in ``orders``, ``groups[k, j]`` lists the nonzero factor
+    groups ``(tag, profile)`` of :func:`_pair_groups`; ``tags`` are the
+    factors all of them use and ``powers`` the distinct nonzero powers of r
+    in their profiles.  Every tile's :class:`PairGeometry` of the call
+    shares the plan.
+    """
+
+    def __init__(self, params: SplineParams, orders):
+        self.groups = {
+            (k, j): [(tag, prof) for tag, prof in _pair_groups(params, k, j) if not prof.is_zero]
+            for k, j in orders
+        }
+        groups = [group for order in self.groups.values() for group in order]
+        self.tags = {tag for tag, _ in groups}
+        self.powers = sorted({p for _, prof in groups for _, p, _ in prof.terms} - {0})
 
 
 class PairGeometry:
     """Shared geometry of a block of (target ``x``, source ``alpha``) pairs.
 
-    Holds ``r = |x - alpha|`` and, of the direction cosines
-    ``u = n_x.(x-a)/r``, ``v = n_a.(a-x)/r`` and ``ndot = n_x.n_a``, only
-    those that the kernels of ``orders`` (pairs (k, j)) use; ``log r`` is
-    formed on first use.  A block's geometry is computed once and shared by
-    every (k, j) kernel :func:`pair_kernel` evaluates on it.  Shapes
-    broadcast, with points and normals as ``(..., 2)`` arrays; odd k needs
-    ``n_x`` and odd j needs ``n_alpha``.
+    Holds ``r = |x - alpha|``, its ``powers`` that the kernels of ``plan``
+    use, and ``factors``, the group factors by tag: of the direction cosines
+    ``u = n_x.(x-a)/r``, ``v = n_a.(a-x)/r``, their product ``uv`` and
+    ``ndot = n_x.n_a``, only those the plan's groups use (the radial group
+    "1" has none).  ``log r`` is formed on first use.  A block's geometry is
+    computed once and shared by every (k, j) kernel :func:`pair_kernel`
+    evaluates on it.  Shapes broadcast, with points and normals as
+    ``(..., 2)`` arrays; odd k needs ``n_x`` and odd j needs ``n_alpha``.
     """
 
-    def __init__(self, params: SplineParams, orders, x, alpha, n_x=None, n_alpha=None):
-        dx = _as_points(x) - _as_points(alpha)
-        r = np.hypot(dx[..., 0], dx[..., 1])
+    def __init__(self, plan: PairPlan, x, alpha, n_x=None, n_alpha=None):
+        x, alpha = _as_points(x), _as_points(alpha)
+        dx = x[..., 0] - alpha[..., 0]
+        dy = x[..., 1] - alpha[..., 1]
+        r = np.hypot(dx, dy)
         if np.any(r <= SINGULAR_TOL):
             raise SingularEvaluationError("pair kernel evaluated at coincident points")
-        tags = {
-            tag
-            for k, j in orders
-            for tag, prof in _pair_groups(params, k, j)
-            if not prof.is_zero
-        }
+        tags = plan.tags
         if n_x is None and tags & {"u", "uv", "ndot"}:
             raise ValueError("odd target orders need the target normals n_x")
         if n_alpha is None and tags & {"v", "uv", "ndot"}:
             raise ValueError("odd source orders need the source normals n_alpha")
+        self.plan = plan
         self.r = r
-        self.u = _dot(n_x, dx) / r if tags & {"u", "uv"} else None
-        self.v = -_dot(n_alpha, dx) / r if tags & {"v", "uv"} else None
-        self.ndot = _dot(n_x, n_alpha) if "ndot" in tags else None
+        self.powers = {p: r**p for p in plan.powers}
+        # each cosine in its formula's operation order, (a0 b0 + a1 b1) / r,
+        # with the sum, sign and quotient taken in place
+        fac = {"1": None}
+        if tags & {"u", "uv"}:
+            n_x = _as_points(n_x)
+            u = n_x[..., 0] * dx
+            u += n_x[..., 1] * dy
+            u /= r
+            fac["u"] = u
+        if tags & {"v", "uv"}:
+            n_alpha = _as_points(n_alpha)
+            v = n_alpha[..., 0] * dx
+            v += n_alpha[..., 1] * dy
+            v *= -1.0
+            v /= r
+            fac["v"] = v
+        if "uv" in tags:
+            fac["uv"] = fac["u"] * fac["v"]
+        if "ndot" in tags:
+            n_x, n_alpha = _as_points(n_x), _as_points(n_alpha)
+            ndot = n_x[..., 0] * n_alpha[..., 0]
+            ndot += n_x[..., 1] * n_alpha[..., 1]
+            fac["ndot"] = ndot
+        self.factors = fac
 
     @cached_property
     def log_r(self) -> np.ndarray:
@@ -350,34 +407,30 @@ class PairGeometry:
         return reg + logc * self.log_r
 
 
-def pair_kernel(
-    params: SplineParams, k: int, j: int, geom: PairGeometry
-) -> tuple[np.ndarray, np.ndarray]:
+def pair_kernel(geom: PairGeometry, k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """op_k in ``x`` (along n_x) and op_j in ``alpha`` (along n_alpha) of
     ``phi(x - alpha)`` on a block, split as ``(reg, logc)``.
 
     The kernel value is ``geom.value(reg, logc) = reg + logc * log r``.  The
     split is what the singularity-splitting boundary quadrature needs; every
-    boundary kernel in the package is evaluated here.
+    boundary kernel in the package is evaluated here.  ``(k, j)`` must be
+    one of the orders of ``geom.plan``.  Each half sums its groups' pieces,
+    each times its factor, in order from the first; a half without one is
+    zero.
     """
-    reg = np.zeros_like(geom.r)
-    logc = np.zeros_like(geom.r)
-    for tag, prof in _pair_groups(params, k, j):
-        if prof.is_zero:
-            continue
-        preg, plog = prof.eval_split(geom.r)
-        if tag == "1":
-            fac = 1.0
-        elif tag == "u":
-            fac = geom.u
-        elif tag == "v":
-            fac = geom.v
-        elif tag == "uv":
-            fac = geom.u * geom.v
-        else:
-            fac = geom.ndot
-        reg += preg * fac
-        logc += plog * fac
+    halves = [None, None]
+    for tag, prof in geom.plan.groups[k, j]:
+        fac = geom.factors[tag]
+        for half, piece in enumerate(prof.eval_split(geom.r, geom.powers)):
+            if piece is None:
+                continue
+            if fac is not None:
+                piece *= fac
+            if halves[half] is None:
+                halves[half] = piece
+            else:
+                halves[half] += piece
+    reg, logc = (np.zeros_like(geom.r) if h is None else h for h in halves)
     return reg, logc
 
 
@@ -427,5 +480,5 @@ def boundary_kernel(params: SplineParams, j: int, x, alpha, n_alpha) -> np.ndarr
         raise DomainValidityError(
             f"boundary operator order must lie in [0, 2m-1], got {j}"
         )
-    geom = PairGeometry(params, [(0, j)], x, alpha, n_alpha=n_alpha)
-    return geom.value(*pair_kernel(params, 0, j, geom))
+    geom = PairGeometry(PairPlan(params, [(0, j)]), x, alpha, n_alpha=n_alpha)
+    return geom.value(*pair_kernel(geom, 0, j))

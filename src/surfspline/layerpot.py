@@ -44,7 +44,7 @@ from .errors import (
     NearBoundaryAccuracyWarning,
 )
 from .geometry import BoundaryGrid, signed_distance
-from .kernel import PairGeometry, SplineParams, _pair_diag, pair_kernel, tiles
+from .kernel import PairGeometry, PairPlan, SplineParams, _pair_diag, pair_kernel, tiles
 
 __all__ = [
     "kress_log_weights",
@@ -120,8 +120,8 @@ def nystrom_matrix(params: SplineParams, k: int, j: int, grid: BoundaryGrid) -> 
     eye = np.eye(n, dtype=bool)
     # evaluate on the full grid but fix the diagonal afterwards
     xs = np.where(eye[..., None], x + 1.0, x)  # shift diagonal args off r = 0
-    geom = PairGeometry(params, [(k, j)], xs, a, nx, na)
-    reg, logc = pair_kernel(params, k, j, geom)
+    geom = PairGeometry(PairPlan(params, [(k, j)]), xs, a, nx, na)
+    reg, logc = pair_kernel(geom, k, j)
     r = geom.r
     dt = t[:, None] - t[None, :]
     sin2 = 4.0 * np.sin(0.5 * dt) ** 2
@@ -162,13 +162,14 @@ def _potential_sum(params, j, grid, density, x_pts):
     grid's nodes, and a target's value does not depend on the tiling.
     """
     charge = grid.weights * density
+    plan = PairPlan(params, [(0, j)])
     out = np.empty(x_pts.shape[0])
     for lo, hi in tiles(x_pts.shape[0], grid.n):
         geom = PairGeometry(
-            params, [(0, j)], x_pts[lo:hi, None, :], grid.points[None, :, :],
+            plan, x_pts[lo:hi, None, :], grid.points[None, :, :],
             n_alpha=grid.normals[None, :, :],
         )
-        out[lo:hi] = geom.value(*pair_kernel(params, 0, j, geom)) @ charge
+        out[lo:hi] = geom.value(*pair_kernel(geom, 0, j)) @ charge
     return out
 
 
@@ -291,17 +292,18 @@ class TraceMaps:
         limit = _neville_limit(deltas, np.eye(5))[0]
         last = limit - np.append(_neville_limit(deltas[:4], np.eye(4))[0], 0.0)
         orders = [(k, j) for k in ks for j in slots]
+        plan = PairPlan(params, orders)
         maps = np.empty((2, len(ks), n, len(slots), n))
         for lo, hi in tiles(n, n_f):
             acc = np.zeros((2, len(orders), hi - lo, n_f))
             for d, c_limit, c_last in zip(deltas, limit, last):
                 x = grid.points[lo:hi] + sgn * d * grid.normals[lo:hi]
                 geom = PairGeometry(
-                    params, orders, x[:, None, :], fine.points[None, :, :],
+                    plan, x[:, None, :], fine.points[None, :, :],
                     grid.normals[lo:hi, None, :], fine.normals[None, :, :],
                 )
                 for o, (k, j) in enumerate(orders):
-                    ker = geom.value(*pair_kernel(params, k, j, geom))
+                    ker = geom.value(*pair_kernel(geom, k, j))
                     acc[0, o] += c_limit * ker
                     acc[1, o] += c_last * ker
             acc *= fine.weights

@@ -53,18 +53,33 @@ __all__ = [
 ]
 
 
-def _phi_matrix(params: SplineParams, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+def _tile_buffers(bounds, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two scratch arrays of :func:`_phi_matrix` for the largest of the
+    row ranges ``bounds`` against ``n_cols`` columns."""
+    size = max((hi - lo for lo, hi in bounds), default=0) * n_cols
+    return np.empty(size), np.empty(size)
+
+
+def _phi_matrix(params: SplineParams, x: np.ndarray, xi: np.ndarray, buf=None) -> np.ndarray:
     """phi(|x_i - xi_j|) as an (n_x, n_xi) block.
 
     r^2 is formed from coordinate differences, (x - xi_x)^2 + (y - xi_y)^2,
-    so each entry depends only on its own pair and never on the block.
+    so each entry depends only on its own pair and never on the block.  A
+    tile loop passes the same :func:`_tile_buffers` ``buf`` to every tile:
+    the first array takes r^2 and then the values, the second the squared
+    y-differences and then log r^2, and the block returned is a view of the
+    first that the next call overwrites.
     """
-    r2 = np.subtract.outer(x[:, 0], xi[:, 0])
+    shape = (x.shape[0], xi.shape[0])
+    if buf is None:
+        buf = _tile_buffers([(0, shape[0])], shape[1])
+    r2, dy = (b[: shape[0] * shape[1]].reshape(shape) for b in buf)
+    np.subtract.outer(x[:, 0], xi[:, 0], out=r2)
     r2 *= r2
-    dy = np.subtract.outer(x[:, 1], xi[:, 1])
+    np.subtract.outer(x[:, 1], xi[:, 1], out=dy)
     dy *= dy
     r2 += dy
-    return phi_from_r2(params, r2)
+    return phi_from_r2(params, r2, dy)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +163,8 @@ def volume_potential(
     The rays are bisected over :func:`~surfspline.kernel.tiles` of the points
     against the ``n_theta`` rays, and the nodes, weights, densities and
     kernel values are formed over tiles against the ``n_theta * level``
-    nodes, with one ``density_fn`` call per tile.  Each point's value is one
+    nodes, with one ``density_fn`` call per tile and the kernel values in
+    the buffers of the largest tile.  Each point's value is one
     sum over its own nodes, so it does not depend on the tiling.
     """
     pts = np.asarray(points, dtype=float)
@@ -163,13 +179,17 @@ def volume_potential(
     for lo, hi in tiles(n, n_theta):
         s_exit[lo:hi] = curve.ray_exit(pts[lo:hi], theta)
     out = np.empty(n)
-    for lo, hi in tiles(n, n_theta * level):
+    bounds = list(tiles(n, n_theta * level))
+    buf = _tile_buffers(bounds, n_theta * level)
+    for lo, hi in bounds:
         rays = s_exit[lo:hi, :, None]
         s = rays * u  # (tile, n_theta, level)
         w = (2 * np.pi / n_theta) * (rays * wu) * s
         alpha = pts[lo:hi, None, None, :] + s[..., None] * dirs[:, None, :]
         dens = np.asarray(density_fn(alpha.reshape(-1, 2))).reshape(s.shape)
-        terms = w * dens * phi_from_r2(params, s * s)
+        s2, log_s2 = (b[: s.size].reshape(s.shape) for b in buf)
+        np.multiply(s, s, out=s2)
+        terms = w * dens * phi_from_r2(params, s2, log_s2)
         out[lo:hi] = np.sum(terms.reshape(hi - lo, -1), axis=1)
     return out
 
@@ -306,8 +326,10 @@ def eval_approximant(apx: Approximant, points, chunk_entries: int | None = None)
     pts = np.asarray(points, dtype=float)
     out = apx.poly_eval(pts)
     if apx.centers.shape[0]:
-        for lo, hi in tiles(pts.shape[0], apx.centers.shape[0], chunk_entries):
-            ker = _phi_matrix(apx.params, pts[lo:hi], apx.centers)
+        bounds = list(tiles(pts.shape[0], apx.centers.shape[0], chunk_entries))
+        buf = _tile_buffers(bounds, apx.centers.shape[0])
+        for lo, hi in bounds:
+            ker = _phi_matrix(apx.params, pts[lo:hi], apx.centers, buf)
             out[lo:hi] += ker @ apx.coefficients
     return out
 
@@ -545,8 +567,9 @@ def error_kernel_norms(
     ]
     # every block runs over tiles of the probes: the centers' kernel columns
     # phi_XP, the interior sums against them over tiles of the quadrature,
-    # and the boundary kernels (probes x boundary nodes).  The rows of A are
-    # cut once per probe-tile width (a full tile's and the ragged last one's)
+    # and the boundary kernels (probes x boundary nodes).  The rows of A, and
+    # the buffers of the quadrature tiles, are cut once per probe-tile width
+    # (a full tile's and the ragged last one's)
     quad_tiles = {}
     interior = np.zeros(probes.shape[0])
     boundary = np.zeros((params.m, probes.shape[0]))
@@ -554,9 +577,13 @@ def error_kernel_norms(
         P = probes[lo:hi]
         phi_XP = _phi_matrix(params, X, P)  # (n_centers, tile)
         if hi - lo not in quad_tiles:
-            quad_tiles[hi - lo] = [(a, b, A[a:b]) for a, b in tiles(len(quad), hi - lo)]
-        for qlo, qhi, A_rows in quad_tiles[hi - lo]:
-            exact = _phi_matrix(params, quad.nodes[qlo:qhi], P)
+            bounds = list(tiles(len(quad), hi - lo))
+            quad_tiles[hi - lo] = (
+                [(a, b, A[a:b]) for a, b in bounds], _tile_buffers(bounds, hi - lo)
+            )
+        rows, buf = quad_tiles[hi - lo]
+        for qlo, qhi, A_rows in rows:
+            exact = _phi_matrix(params, quad.nodes[qlo:qhi], P, buf)
             exact -= A_rows @ phi_XP
             interior[lo:hi] += quad.weights[qlo:qhi] @ np.abs(exact, out=exact)
         for j, B in enumerate(Bs):

@@ -4,7 +4,7 @@ import sympy as sp
 from hypothesis import HealthCheck, settings
 
 from surfspline.geometry import BoundaryGrid, circle, ellipse
-from surfspline.kernel import PairGeometry, SplineParams, pair_kernel
+from surfspline.kernel import PairGeometry, PairPlan, SplineParams, pair_kernel
 from surfspline.layerpot import _neville_limit, trig_upsample
 from surfspline.targets import TargetFunction
 
@@ -72,10 +72,10 @@ def direct_trace(params, densities, grid, k, side, slots):
     for r, d in enumerate(deltas):
         x = grid.points + sgn * d * grid.normals
         geom = PairGeometry(
-            params, [(k, j) for j, _ in charges], x[:, None, :], fine.points[None],
+            PairPlan(params, [(k, j) for j, _ in charges]), x[:, None, :], fine.points[None],
             grid.normals[:, None, :], fine.normals[None],
         )
-        vals[r] = sum(geom.value(*pair_kernel(params, k, j, geom)) @ c for j, c in charges)
+        vals[r] = sum(geom.value(*pair_kernel(geom, k, j)) @ c for j, c in charges)
     return _neville_limit(deltas, vals)
 
 

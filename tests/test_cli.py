@@ -150,6 +150,20 @@ def test_extend_requires_points_or_ray(capsys):
     assert "provide --points or --ray" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [["--points", "1,2,3"], ["--points", "0.1,x"], ["--points", "0.1,0.2;"],
+     ["--ray", "1,2"], ["--ray", "0,1.5,3,0"], ["--ray", "0,1.5,3,2.5"], ["--ray", "0,1,2,3,4"]],
+)
+def test_extend_point_specs_name_their_option(spec, capsys):
+    # a malformed or empty point spec names its option and form, and exits 2
+    # before any output
+    assert main(["extend", *spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {spec[0]} takes ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_extend_ray_csv(tmp_path):
     out = tmp_path / "ray.csv"
     rc = main(

@@ -1,8 +1,10 @@
 """Every name a module exports through ``__all__``, and every name the
-benchmark wraps, exists."""
+benchmark wraps, exists; and the package keeps no module-level cache."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +41,34 @@ def test_dirichlet_holds_one_sided_trace():
     from surfspline import dirichlet, layerpot
 
     assert dirichlet.one_sided_trace is layerpot.one_sided_trace
+
+
+def test_no_functools_caches_in_the_package():
+    # work that does not depend on one call's input lives in objects the
+    # caller builds and passes (trace maps, pair plans, tile buffers), never
+    # in a memo that every caller in the process shares
+    banned = {"lru_cache", "cache"}
+    found = []
+    for path in sorted(Path(surfspline.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "functools"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names if alias.name in banned]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in banned
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} functools.{name}" for name in names]
+    assert not found, f"module-level caches in the package: {found}"

@@ -12,13 +12,13 @@ from surfspline.geometry import BoundaryGrid
 from surfspline.kernel import (
     TILE_ENTRIES,
     PairGeometry,
+    PairPlan,
     SplineParams,
     _pair_groups,
     boundary_kernel,
     fs_constant,
     iterated_laplacian_profile,
     pair_kernel,
-    phi,
     phi_from_r2,
     phi_profile,
     tiles,
@@ -26,6 +26,12 @@ from surfspline.kernel import (
 from surfspline.layerpot import nystrom_matrix
 
 C22 = 1.0 / (8.0 * np.pi)
+
+
+def phi(params, x):
+    """phi(x) at one point, from its squared distance to the origin."""
+    x = np.asarray(x, dtype=float)
+    return float(phi_from_r2(params, x @ x))
 
 
 def test_phi_zero_on_unit_circle(params2):
@@ -58,10 +64,10 @@ def test_phi_from_r2_matches_profile(m, rng):
     params = SplineParams(m=m)
     r = rng.uniform(0.2, 2.0, size=50)
     r = r[np.abs(r - 1.0) > 0.05]  # near r = 1 the log vanishes and rtol means nothing
+    # phi's profile has a log piece only
     reg, logc = phi_profile(params).eval_split(r)
-    np.testing.assert_allclose(
-        phi_from_r2(params, r * r), reg + logc * np.log(r), rtol=1e-13
-    )
+    assert reg is None
+    np.testing.assert_allclose(phi_from_r2(params, r * r), logc * np.log(r), rtol=1e-13)
     assert phi_from_r2(params, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
     # scalars are accepted, and give the bits of the same entry of an array
     assert float(phi_from_r2(params, r[3] ** 2)) == phi_from_r2(params, r * r)[3]
@@ -71,6 +77,16 @@ def test_phi_from_r2_matches_profile(m, rng):
     with np.errstate(divide="ignore", invalid="ignore"):
         oracle = np.where(r2 > 0.0, c * r2 ** (m - 1) * np.log(r2), 0.0)
     np.testing.assert_array_equal(phi_from_r2(params, r2), oracle)
+    # without scratch the input is left as it was; with it, r2 turns into the
+    # values and the scratch takes log r2
+    kept = r2.copy()
+    phi_from_r2(params, r2)
+    np.testing.assert_array_equal(r2, kept)
+    scratch = np.empty_like(r2)
+    assert phi_from_r2(params, r2, scratch) is r2
+    np.testing.assert_array_equal(r2, oracle)
+    with np.errstate(divide="ignore"):
+        np.testing.assert_array_equal(scratch, np.log(kept))
 
 
 @pytest.mark.parametrize(
@@ -93,10 +109,10 @@ def test_tiles_cover_rows_in_steps_of_eight(n_rows, n_sources, entries):
 
 
 def test_singular_evaluation_raises(params2):
-    with pytest.raises(SingularEvaluationError):
-        phi(params2, (0.0, 0.0))
-    with pytest.raises(SingularEvaluationError):
-        phi(params2, (1e-14, 0.0))
+    # a pair kernel has no value at coincident points, nor closer than 1e-12
+    for x in ((0.0, 0.0), (1e-14, 0.0)):
+        with pytest.raises(SingularEvaluationError):
+            boundary_kernel(params2, 0, np.array([x]), np.zeros(2), None)
 
 
 @pytest.mark.parametrize("m,d", [(1, 2), (1, 3), (2, 5), (2, 3), (3, 4)])
@@ -169,8 +185,8 @@ def test_laplacian_kernel_closed_form(params2, rng):
 
 
 def _pair(params, k, j, x, n_x, alpha, n_alpha):
-    geom = PairGeometry(params, [(k, j)], x, alpha, n_x, n_alpha)
-    return geom.value(*pair_kernel(params, k, j, geom))
+    geom = PairGeometry(PairPlan(params, [(k, j)]), x, alpha, n_x, n_alpha)
+    return geom.value(*pair_kernel(geom, k, j))
 
 
 def test_pair_kernel_reduces_to_phi(params2):
@@ -231,13 +247,13 @@ def test_pair_geometry_names_missing_normals(params2):
     x = np.array([[0.3, 0.1], [0.5, -0.2]])
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="n_x"):
-        PairGeometry(params2, [(1, 0)], x, a, None, a)
+        PairGeometry(PairPlan(params2, [(1, 0)]), x, a, None, a)
     with pytest.raises(ValueError, match="n_alpha"):
-        PairGeometry(params2, [(0, 1)], x, a, a, None)
+        PairGeometry(PairPlan(params2, [(0, 1)]), x, a, a, None)
     with pytest.raises(ValueError, match="n_alpha"):
         boundary_kernel(params2, 1, x, a, None)
     # even orders need no normals at all
-    PairGeometry(params2, [(0, 0), (2, 2)], x, a)
+    PairGeometry(PairPlan(params2, [(0, 0), (2, 2)]), x, a)
     boundary_kernel(params2, 2, x, a, None)
 
 
@@ -246,8 +262,22 @@ def test_pair_geometry_names_missing_normals(params2):
 # ---------------------------------------------------------------------------
 
 
+def _oracle_eval_split(prof, r):
+    """Former profile evaluator: zero accumulators, and every power formed per term."""
+    reg = np.zeros_like(r)
+    logc = np.zeros_like(r)
+    for c, p, e in prof.terms:
+        piece = c * r**p if p != 0 else np.full_like(r, c)
+        if e:
+            logc += piece
+        else:
+            reg += piece
+    return reg, logc
+
+
 def _oracle_pair_split(params, k, j, x, n_x, alpha, n_alpha):
-    """Former pair kernel: geometry and every cosine recomputed per call."""
+    """Former pair kernel: geometry, every cosine and every power recomputed
+    per call, and zero accumulators."""
     dx = x - alpha
     r = np.hypot(dx[..., 0], dx[..., 1])
     u = v = ndot = None
@@ -262,7 +292,7 @@ def _oracle_pair_split(params, k, j, x, n_x, alpha, n_alpha):
     for tag, prof in _pair_groups(params, k, j):
         if prof.is_zero:
             continue
-        preg, plog = prof.eval_split(r)
+        preg, plog = _oracle_eval_split(prof, r)
         if tag == "1":
             fac = 1.0
         elif tag == "u":
@@ -291,7 +321,7 @@ def _oracle_boundary_kernel(params, j, x, alpha, n_alpha):
         return _oracle_pair(params, 0, j, x, None, alpha, n_alpha)
     dx = x - alpha
     r = np.hypot(dx[..., 0], dx[..., 1])
-    reg, logc = iterated_laplacian_profile(params, j // 2).eval_split(r)
+    reg, logc = _oracle_eval_split(iterated_laplacian_profile(params, j // 2), r)
     if np.all(logc == 0.0):
         return reg
     return reg + logc * np.log(r)
@@ -305,9 +335,10 @@ def _units(rng, shape):
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("target_normals", [True, False])
 def test_pair_kernel_bitwise_equals_per_call_oracle(m, target_normals):
-    # one geometry shared by every (k, j) on a block gives exactly the values
-    # the per-call kernels computed; without target normals only the orders
-    # that need none (even k) can be evaluated
+    # one plan and one geometry shared by every (k, j) on a block, with each
+    # power of r formed once, give exactly the values the per-call kernels
+    # computed; without target normals only the orders that need none (even
+    # k) can be evaluated, and without any normals only the even-even ones
     params = SplineParams(m=m, d=2)
     rng = np.random.default_rng(m + 10 * target_normals)
     x = rng.uniform(-1.5, 1.5, size=(11, 1, 2))
@@ -315,15 +346,19 @@ def test_pair_kernel_bitwise_equals_per_call_oracle(m, target_normals):
     n_x = _units(rng, (11, 1)) if target_normals else None
     n_alpha = _units(rng, (1, 17))
     ks = range(2 * m) if target_normals else range(0, 2 * m, 2)
-    orders = [(k, j) for k in ks for j in range(2 * m)]
-    geom = PairGeometry(params, orders, x, alpha, n_x, n_alpha)
-    for k, j in orders:
-        reg, logc = pair_kernel(params, k, j, geom)
-        o_reg, o_logc, _ = _oracle_pair_split(params, k, j, x, n_x, alpha, n_alpha)
-        assert np.array_equal(reg, o_reg) and np.array_equal(logc, o_logc), (k, j)
-        assert np.array_equal(
-            geom.value(reg, logc), _oracle_pair(params, k, j, x, n_x, alpha, n_alpha)
-        ), (k, j)
+    blocks = [(n_alpha, [(k, j) for k in ks for j in range(2 * m)])]
+    if not target_normals:
+        blocks.append((None, [(k, j) for k in ks for j in range(0, 2 * m, 2)]))
+    for normals, orders in blocks:
+        geom = PairGeometry(PairPlan(params, orders), x, alpha, n_x, normals)
+        for k, j in orders:
+            reg, logc = pair_kernel(geom, k, j)
+            o_reg, o_logc, _ = _oracle_pair_split(params, k, j, x, n_x, alpha, normals)
+            assert reg.shape == logc.shape == (11, 17), (k, j)
+            assert np.array_equal(reg, o_reg) and np.array_equal(logc, o_logc), (k, j)
+            assert np.array_equal(
+                geom.value(reg, logc), _oracle_pair(params, k, j, x, n_x, alpha, normals)
+            ), (k, j)
     for j in range(2 * m):
         assert np.array_equal(
             boundary_kernel(params, j, x, alpha, n_alpha),

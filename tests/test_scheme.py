@@ -264,6 +264,58 @@ def test_eval_approximant_chunked_consistent(disk, assembly, rng):
         np.testing.assert_array_equal(eval_approximant(apx, pts, chunk_entries=budget), full)
 
 
+def _fresh_phi_from_r2(params, r2):
+    """phi_from_r2 before the tile buffers: fresh arrays, and the limit at
+    zero distance masked in every block."""
+    from surfspline.kernel import fs_constant
+
+    r2 = np.asarray(r2, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(r2 ** (params.m - 1))
+        out *= 0.5 * fs_constant(params.m)
+        out *= np.log(r2)
+    out[~(r2 > 0.0)] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("budget", [None, 1 << 10, 1 << 20])
+def test_phi_tiles_in_reused_buffers_match_fresh_blocks(m, budget):
+    # a probe on a center sits in a middle tile: only its r^2 = 0 entry is
+    # masked to the limit 0, and every tile, the ones after it included,
+    # holds exactly the values fresh arrays give
+    from surfspline import scheme
+    from surfspline.kernel import tiles
+
+    params = SplineParams(m=m)
+    rng = np.random.default_rng(m)
+    centers = rng.uniform(-1.0, 1.0, size=(300, 2))
+    pts = rng.uniform(-1.0, 1.0, size=(500, 2))
+    bounds = list(tiles(len(pts), len(centers), budget))
+    lo, hi = bounds[len(bounds) // 2]
+    probe = (lo + hi) // 2
+    pts[probe] = centers[17]
+    apx = Approximant(
+        params=params, centers=centers, coefficients=rng.standard_normal(len(centers)),
+        basis=PolyBasis.for_spline_order(m), poly_coeffs=np.zeros(m * (m + 1) // 2),
+    )
+    buf = scheme._tile_buffers(bounds, len(centers))
+    expected = apx.poly_eval(pts)
+    for lo, hi in bounds:
+        dx = np.subtract.outer(pts[lo:hi, 0], centers[:, 0])
+        dy = np.subtract.outer(pts[lo:hi, 1], centers[:, 1])
+        fresh = _fresh_phi_from_r2(params, dx * dx + dy * dy)
+        block = scheme._phi_matrix(params, pts[lo:hi], centers, buf)
+        assert np.array_equal(block, fresh)
+        expected[lo:hi] += fresh @ apx.coefficients
+        if lo <= probe < hi:
+            zero = np.flatnonzero(block[probe - lo] == 0.0)
+            assert zero.tolist() == [17]
+            assert np.count_nonzero(block == 0.0) == 1
+    assert len(bounds) > 2 or budget == 1 << 20
+    np.testing.assert_array_equal(eval_approximant(apx, pts, chunk_entries=budget), expected)
+
+
 def _gram_eval(apx, points, chunk_entries=30_000_000):
     """The Gram-expansion evaluator kept as an oracle: r^2 from the squared
     norms minus 2 x.xi, clamped at zero, in blocks of up to 30M entries."""
@@ -313,9 +365,9 @@ def test_bulk_kernel_blocks_stay_tile_sized(disk, params2, monkeypatch):
     blocks = []
     phi_matrix = scheme._phi_matrix
 
-    def recording_phi_matrix(params, x, xi):
+    def recording_phi_matrix(params, x, xi, *args):
         blocks.append((x.shape[0], xi.shape[0]))
-        return phi_matrix(params, x, xi)
+        return phi_matrix(params, x, xi, *args)
 
     class RecordingGeometry(layerpot.PairGeometry):
         def __init__(self, *args, **kwargs):
@@ -545,9 +597,9 @@ def test_error_kernel_norms_match_whole_blocks_in_tile_sized_blocks(disk, params
     blocks = []
     phi_matrix, kernel_fn = scheme._phi_matrix, scheme.boundary_kernel
 
-    def recording_phi_matrix(params, x, xi):
+    def recording_phi_matrix(params, x, xi, *args):
         blocks.append((x.shape[0], xi.shape[0]))
-        return phi_matrix(params, x, xi)
+        return phi_matrix(params, x, xi, *args)
 
     def recording_boundary_kernel(params, j, x, alpha, n_alpha):
         out = kernel_fn(params, j, x, alpha, n_alpha)
