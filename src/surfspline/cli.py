@@ -110,23 +110,23 @@ def _cmd_approximate(args) -> int:
 
 def _parse_points(spec: str) -> np.ndarray:
     """The points of ``--points x,y;x,y...`` as an ``(n, 2)`` array."""
+    pts = []
     try:
-        pts = np.array([[float(v) for v in tok.split(",")] for tok in spec.split(";")])
+        for tok in spec.split(";"):
+            x, y = tok.split(",")
+            pts.append((float(x), float(y)))
     except ValueError:
-        pts = None
-    if pts is None or pts.shape[1:] != (2,):
-        raise ValueError(f"--points takes x,y;x,y... pairs of numbers, got {spec!r}")
-    return pts
+        raise ValueError(f"--points takes x,y;x,y... pairs of numbers, got {spec!r}") from None
+    return np.asarray(pts)
 
 
 def _ray_points(spec: str) -> np.ndarray:
     """The points of ``--ray theta,r0,r1,count``: count radii spaced
     geometrically from r0 to r1 along the direction theta."""
     form = f"--ray takes theta,r0,r1,count with an integer count >= 1, got {spec!r}"
-    parts = spec.split(",")
     try:
-        theta, r0, r1 = (float(v) for v in parts[:3])
-        count = int(parts[3]) if len(parts) == 4 else 0
+        theta, r0, r1, count = spec.split(",")
+        theta, r0, r1, count = float(theta), float(r0), float(r1), int(count)
     except ValueError:
         raise ValueError(form) from None
     if count < 1:

@@ -76,10 +76,10 @@ __all__ = [
 SINGULAR_TOL = 1e-12
 
 #: entries (target rows x sources) of one tile of a bulk kernel sum: 2^15
-#: doubles are 256 KB, so a tile's arrays stay in cache.  The pair kernels'
-#: temporaries are reused from the heap instead of being mapped and
-#: page-faulted afresh; the phi tiles write into two buffers sized once per
-#: call for its largest tile
+#: doubles are 256 KB, so a tile's arrays stay in cache.  A pair-kernel
+#: tile forms its arrays per tile, from the call's one PairPlan; the phi
+#: tiles write into two buffers sized once per call for its largest tile,
+#: so they allocate nothing
 TILE_ENTRIES = 1 << 15
 
 
