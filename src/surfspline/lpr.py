@@ -24,6 +24,13 @@ so the reproductions are built a radius step at a time: one KD-tree query
 for every anchor still open, then one batched minimum-norm solve per group
 of anchors with the same support size.  A row's numbers depend only on its
 own support, never on which other anchors share its batch.
+
+A support is accepted only if its Vandermonde's condition number is within
+``cond_cap``.  The Frobenius bound cond(R) <= ||R||_F ||R^-1||_F of the
+triangular factor settles that test for almost every row; only the few rows
+it leaves open take the singular values that decide their rank cut and
+condition number as ``lstsq`` would, so every decision and every weight is
+the one an SVD of every row gives.
 """
 
 from __future__ import annotations
@@ -79,7 +86,7 @@ _RESIDUAL_TOL = 1e-10
 _ENTRY_BUDGET = 1 << 20
 
 
-def _min_norm_weights(pts, anchors, radius, exps, rhs):
+def _min_norm_weights(pts, anchors, radius, exps, rhs, cond_cap):
     """Minimum-norm exactness weights for a batch of equal-size supports.
 
     ``pts`` is (B, K, 2) with K >= P = len(exps).  The scaled Vandermonde V
@@ -88,10 +95,18 @@ def _min_norm_weights(pts, anchors, radius, exps, rhs):
     are cut as ``lstsq(rcond=None)`` cuts them.  With none cut, the weights
     are w = Q R^-T rhs; the rare rank-deficient rows go through the
     pseudo-inverse of R.  Returns the weights (B, K), the worst constraint
-    residual and the condition number of V per anchor; a near-singular
+    residual and whether cond(V) <= ``cond_cap`` per anchor; a near-singular
     Vandermonde can satisfy the constraints exactly yet with a huge
     coefficient mass, so the caller treats bad conditioning like an
     exactness failure.
+
+    Most rows never need their singular values: cond(R) <= beta =
+    ||R||_F ||R^-1||_F, so a row whose beta is within the cap, less a
+    relative margin of ``P * eps * cond_cap`` for the SVD's own rounding, is
+    well conditioned as the SVD would judge it, and with beta also far below
+    the rank cut at cond ~ 1 / (eps * max(P, K)) it is not cut.  Only the
+    other rows, those with an exact zero on R's diagonal among them, take
+    the SVD.
     """
     P, K = len(exps), pts.shape[1]
     z = (pts - anchors[:, None, :]) / radius
@@ -103,22 +118,42 @@ def _min_norm_weights(pts, anchors, radius, exps, rhs):
     V = np.empty((z.shape[0], P, K))
     for col, (i, k) in enumerate(exps):
         np.multiply(px[i], py[k], out=V[:, col])
+    del z, zx, zy, px, py
     # LAPACK's raw output: row i of ``hh`` holds reflector i below its unit
     # entry, and R sits in the upper triangle of its leading P columns
     hh, tau = np.linalg.qr(np.swapaxes(V, 1, 2), mode="raw")
     r = np.triu(np.swapaxes(hh[..., :P], 1, 2))
-    s = np.linalg.svd(r, compute_uv=False)
-    cutoff = np.finfo(float).eps * max(P, K) * s[:, :1]
-    cut = np.any(s <= cutoff, axis=1)
+    eps = np.finfo(float).eps
+    tol = eps * max(P, K)
+    # R^-1 is formed in slices of at most _ENTRY_BUDGET / K entries, small
+    # next to V; a zero on R's diagonal would make its slice's inverse raise,
+    # so that row keeps beta = inf and goes to the SVD
+    beta = np.full(len(r), np.inf)
+    invertible = np.flatnonzero(np.all(np.diagonal(r, axis1=1, axis2=2), axis=1))
+    step = max(1, _ENTRY_BUDGET // (P * P * K))
+    for lo in range(0, invertible.size, step):
+        rows = invertible[lo:lo + step]
+        r_inv = np.linalg.inv(r[rows])
+        beta[rows] = np.sqrt(np.einsum("bij,bij->b", r[rows], r[rows])
+                             * np.einsum("bij,bij->b", r_inv, r_inv))
+    well = (beta <= cond_cap * (1 - P * eps * cond_cap)) & (beta * tol <= 1e-3)
+    cut = np.zeros(len(r), dtype=bool)
+    unsettled = np.flatnonzero(~well)
+    if unsettled.size:
+        s = np.linalg.svd(r[unsettled], compute_uv=False)
+        cutoff = tol * s[:, :1]
+        cut[unsettled] = np.any(s <= cutoff, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            well[unsettled] = s[:, 0] / s[:, -1] <= cond_cap
     y = np.empty(rhs.shape)
     full = ~cut
     y[full] = np.linalg.solve(np.swapaxes(r[full], 1, 2), rhs[full][..., None])[..., 0]
     if cut.any():
         u, sc, vh = np.linalg.svd(r[cut])
-        s_inv = np.divide(1.0, sc, out=np.zeros_like(sc), where=sc > cutoff[cut])
+        s_inv = np.divide(1.0, sc, out=np.zeros_like(sc), where=sc > cutoff[cut[unsettled]])
         y[cut] = (u @ (s_inv[..., None] * (vh @ rhs[cut][..., None])))[..., 0]
     # w = Q y = H_0 H_1 ... H_{P-1} [y; 0]
-    w = np.zeros((z.shape[0], K))
+    w = np.zeros((len(r), K))
     w[:, :P] = y
     for i in reversed(range(P)):
         tail = hh[:, i, i + 1:]
@@ -126,9 +161,7 @@ def _min_norm_weights(pts, anchors, radius, exps, rhs):
         w[:, i] -= d
         w[:, i + 1:] -= d[:, None] * tail
     resid = np.max(np.abs((V @ w[..., None])[..., 0] - rhs), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = s[:, 0] / s[:, -1]
-    return w, resid, cond
+    return w, resid, well
 
 
 def _reproduce(
@@ -211,13 +244,13 @@ def _reproduce(
                 rhs = op_rows[0]
                 if j % 2:
                     rhs = normals[ids, :1] * op_rows[0] + normals[ids, 1:] * op_rows[1]
-                w, resid, cond = _min_norm_weights(
+                w, resid, well = _min_norm_weights(
                     centers[idx], anchors[ids], radius, exps,
-                    np.broadcast_to(rhs * radius ** (-j), (ids.size, P)),
+                    np.broadcast_to(rhs * radius ** (-j), (ids.size, P)), cond_cap,
                 )
                 mass = np.sum(np.abs(w), axis=1)
                 exact = resid < _RESIDUAL_TOL
-                ok = exact & (cond <= cond_cap)
+                ok = exact & well
                 better = exact & ~ok & (K > best_size[ids]) & (mass < best_stab[ids])
                 worst_resid[ids] = np.fmin(worst_resid[ids], resid)
                 done[sel] = ok

@@ -334,27 +334,211 @@ def test_batched_norming_failure_matches_loop(centers05):
     assert str(batched.value) == str(loop.value)
 
 
+# ---------------------------------------------------------------------------
+# the conditioning test by the Frobenius bound against the SVD of every row
+# ---------------------------------------------------------------------------
+
+
+def _svd_everywhere(pts, anchors, radius, exps, rhs):
+    """The solver before the Frobenius bound: every row's singular values
+    decide both its rank cut and its condition number, returned per row."""
+    P, K = len(exps), pts.shape[1]
+    z = (pts - anchors[:, None, :]) / radius
+    zx, zy = z[..., 0], z[..., 1]
+    px, py = [np.ones_like(zx)], [np.ones_like(zy)]
+    for _ in range(max(i + k for i, k in exps)):
+        px.append(px[-1] * zx)
+        py.append(py[-1] * zy)
+    V = np.empty((z.shape[0], P, K))
+    for col, (i, k) in enumerate(exps):
+        np.multiply(px[i], py[k], out=V[:, col])
+    hh, tau = np.linalg.qr(np.swapaxes(V, 1, 2), mode="raw")
+    r = np.triu(np.swapaxes(hh[..., :P], 1, 2))
+    s = np.linalg.svd(r, compute_uv=False)
+    cutoff = np.finfo(float).eps * max(P, K) * s[:, :1]
+    cut = np.any(s <= cutoff, axis=1)
+    y = np.empty(rhs.shape)
+    full = ~cut
+    y[full] = np.linalg.solve(np.swapaxes(r[full], 1, 2), rhs[full][..., None])[..., 0]
+    if cut.any():
+        u, sc, vh = np.linalg.svd(r[cut])
+        s_inv = np.divide(1.0, sc, out=np.zeros_like(sc), where=sc > cutoff[cut])
+        y[cut] = (u @ (s_inv[..., None] * (vh @ rhs[cut][..., None])))[..., 0]
+    w = np.zeros((z.shape[0], K))
+    w[:, :P] = y
+    for i in reversed(range(P)):
+        tail = hh[:, i, i + 1:]
+        d = tau[:, i] * (w[:, i] + np.einsum("bk,bk->b", tail, w[:, i + 1:]))
+        w[:, i] -= d
+        w[:, i + 1:] -= d[:, None] * tail
+    resid = np.max(np.abs((V @ w[..., None])[..., 0] - rhs), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = s[:, 0] / s[:, -1]
+    return w, resid, cond
+
+
+def _squeezed(rng, B, K, radius):
+    """B discs of K points squeezed by a factor a_b across a random direction;
+    returns a function of the factors giving the (B, K, 2) supports, and
+    their anchors."""
+    anchors = rng.uniform(-1.0, 1.0, size=(B, 2))
+    u = rng.uniform(-1.0, 1.0, size=(B, K, 2))
+    t = rng.uniform(0.0, 2 * np.pi, size=(B, 1))
+    c, s = np.cos(t), np.sin(t)
+
+    def make(a):
+        v = u[..., 1] * a[:, None]
+        return anchors[:, None] + radius * np.stack(
+            [c * u[..., 0] - s * v, s * u[..., 0] + c * v], axis=-1
+        )
+
+    return make, anchors
+
+
+def _cond_tuned(rng, exps, K, radius, targets):
+    """Supports whose cond(V), as the SVD computes it, is close to each
+    target: a secant search on the log of the squeeze."""
+    B = len(targets)
+    make, anchors = _squeezed(rng, B, K, radius)
+    rhs = np.zeros((B, len(exps)))
+
+    def log_cond(la):
+        return np.log(_svd_everywhere(make(np.exp(la)), anchors, radius, exps, rhs)[2])
+
+    goal = np.log(targets)
+    la0, la1 = np.full(B, -1.0), np.full(B, -3.0)
+    f0, f1 = log_cond(la0) - goal, log_cond(la1) - goal
+    for _ in range(12):
+        slope = np.where(f1 == f0, 1.0, (f1 - f0) / np.where(f1 == f0, 1.0, la1 - la0))
+        la0, f0 = la1, f1
+        la1 = np.minimum(la1 - f1 / slope, 0.0)
+        f1 = log_cond(la1) - goal
+    return make(np.exp(la1)), anchors
+
+
+#: caps the bound is checked at: the largest float below 1 sits just under
+#: the exact cond of 1 that every order-0 row has
+_CAPS = (np.nextafter(1.0, 0.0), 1.0, 1e2, 1e4, 1e8, 1e15)
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_min_norm_weights_match_svd_everywhere(order, rng):
+    # weights, residuals and accept decisions are bitwise those of the SVD of
+    # every row, on supports from well spread to rank-deficient, and on ones
+    # whose cond sits just either side of each cap.  Order-0 rows hold only
+    # the monomial 1, whose R is -sqrt(K): for K = 7, 15, 21 and 30 its bound
+    # rounds to just under 1
+    exps = monomial_exponents(order)
+    P = len(exps)
+    radius = 0.3
+    sizes = sorted({P, P + 1, 7, 15, 21, 30, 60, 500} - set(range(P)))
+    conds = []
+    for K in sizes:
+        make, anchors = _squeezed(rng, 24, K, radius)
+        # spread, squeezed up to the rank cut, and exactly collinear supports
+        a = np.concatenate([np.ones(8), 10.0 ** -rng.uniform(0, 16, 14), [0, 0]])
+        parts = [(make(a), anchors)]
+        if order:
+            near = np.outer([1e2, 1e4, 1e8], 1 + np.array([-1e-3, -1e-6, 1e-6, 1e-3]))
+            # past the rank cut at cond = 1 / (eps * max(P, K)), yet for P = 3
+            # within a cap of 1e15 less its rounding margin
+            far = [1e14, 3e14] if K >= 60 else []
+            targets = np.concatenate([near.ravel(), far])
+            parts.append(_cond_tuned(rng, exps, K, radius, targets))
+        pts = np.concatenate([p for p, _ in parts])
+        anchors = np.concatenate([q for _, q in parts])
+        rhs = rng.standard_normal((len(pts), P))
+        w0, resid0, cond0 = _svd_everywhere(pts, anchors, radius, exps, rhs)
+        for cap in _CAPS:
+            w, resid, well = lpr._min_norm_weights(pts, anchors, radius, exps, rhs, cap)
+            np.testing.assert_array_equal(w, w0)
+            np.testing.assert_array_equal(resid, resid0)
+            np.testing.assert_array_equal(well, cond0 <= cap)
+        conds.append(cond0)
+    if order:
+        # the tuned rows straddle each cap within a relative 2e-6
+        gaps = np.concatenate(conds)[:, None] / [1e2, 1e4, 1e8] - 1
+        assert np.all(np.any((gaps > 0) & (gaps < 2e-6), axis=0))
+        assert np.all(np.any((gaps <= 0) & (gaps > -2e-6), axis=0))
+
+
+def test_bound_spares_most_rows_the_svd(disk, centers05, monkeypatch):
+    # on a plain rung the Frobenius bound settles the conditioning test of
+    # almost every row; only the rows it leaves open take singular values
+    rows, svd_rows = [], []
+    solve, svd = lpr._min_norm_weights, np.linalg.svd
+
+    def count_rows(pts, *args):
+        rows.append(len(pts))
+        return solve(pts, *args)
+
+    def count_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv") is False:
+            svd_rows.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(lpr, "_min_norm_weights", count_rows)
+    monkeypatch.setattr(np.linalg, "svd", count_svd)
+    X = centers05.points
+    interior_reproduction_matrix(interior_quadrature(disk, 24).nodes, X, 0.05, 4)
+    bg = BoundaryGrid.build(disk, 128)
+    for j in (0, 1):
+        boundary_reproduction_matrix(j, bg.points, bg.normals, X, 0.05, 4)
+    assert sum(svd_rows) < 0.1 * sum(rows)
+
+
+def _assert_matches_lstsq(pts, anchors, radius, exps, rhs, w, resid, well, cap):
+    """Each row against lstsq: its weights, residual and the cap test on its
+    singular values; returns the rank lstsq found per row."""
+    ranks = []
+    for b in range(len(pts)):
+        z = (pts[b] - anchors[b]) / radius
+        V = np.stack([z[:, 0] ** i * z[:, 1] ** k for (i, k) in exps], axis=0)
+        w0, _, rank, sv = np.linalg.lstsq(V, rhs[b], rcond=None)
+        np.testing.assert_allclose(w[b], w0, rtol=0, atol=1e-12)
+        assert resid[b] == pytest.approx(np.max(np.abs(V @ w0 - rhs[b])), abs=1e-12)
+        with np.errstate(divide="ignore"):
+            assert well[b] == (sv[0] / sv[-1] <= cap)
+        ranks.append(rank)
+    return np.array(ranks)
+
+
 def test_rank_deficient_support_matches_lstsq(rng):
     # collinear centers leave the Vandermonde rank-deficient: the singular
-    # values lstsq would cut must be cut, giving its least-squares weights
+    # values lstsq would cut must be cut, giving its least-squares weights,
+    # and only the full-rank row can pass a cap
     exps = monomial_exponents(2)
     t = rng.uniform(-1.0, 1.0, size=(3, 20))
     pts = np.stack([t, 0.5 * t + 0.1], axis=-1)
     pts[2, :5] += rng.uniform(-0.3, 0.3, size=(5, 2))  # one full-rank row
     anchors = np.zeros((3, 2))
     rhs = np.tile(PolyBasis.up_to_degree(2).op_values(0, np.zeros(2)), (3, 1))
-    w, resid, cond = lpr._min_norm_weights(pts, anchors, 0.8, exps, rhs)
-    for b in range(3):
-        z = pts[b] / 0.8
-        V = np.stack([z[:, 0] ** i * z[:, 1] ** k for (i, k) in exps], axis=0)
-        w0, _, rank, sv = np.linalg.lstsq(V, rhs[b], rcond=None)
-        assert (rank < len(exps)) == (b < 2)
-        np.testing.assert_allclose(w[b], w0, rtol=0, atol=1e-12)
-        assert resid[b] == pytest.approx(np.max(np.abs(V @ w0 - rhs[b])), abs=1e-12)
-        if b < 2:
-            assert cond[b] > 1e12
-        else:
-            assert cond[b] == pytest.approx(sv[0] / sv[-1], rel=1e-10)
+    accepted = []
+    for cap in (1e2, 1e4, 1e8, 1e12):
+        out = lpr._min_norm_weights(pts, anchors, 0.8, exps, rhs, cap)
+        ranks = _assert_matches_lstsq(pts, anchors, 0.8, exps, rhs, *out, cap)
+        np.testing.assert_array_equal(ranks < len(exps), [True, True, False])
+        accepted.append(out[2])
+    # the full-rank row's condition number lies between the caps tried
+    assert not np.any(accepted[0]) and np.array_equal(accepted[-1], [False, False, True])
+
+
+def test_exactly_singular_support_takes_the_cut(rng):
+    # support points all on the anchor's horizontal line make every monomial
+    # with a y factor vanish, so R has exact zeros on its diagonal; the row
+    # must take the cut, and its batch of well-conditioned rows must not raise
+    exps = monomial_exponents(2)
+    pts = rng.uniform(-1.0, 1.0, size=(4, 20, 2))
+    anchors = rng.uniform(-0.2, 0.2, size=(4, 2))
+    pts[1, :, 1] = anchors[1, 1]
+    z = (pts[1] - anchors[1]) / 0.8
+    V = np.stack([z[:, 0] ** i * z[:, 1] ** k for (i, k) in exps], axis=0)
+    assert np.count_nonzero(np.diag(np.linalg.qr(V.T, mode="r")) == 0) == 3
+    rhs = rng.standard_normal((4, len(exps)))
+    out = lpr._min_norm_weights(pts, anchors, 0.8, exps, rhs, COND_CAP_DEFAULT)
+    ranks = _assert_matches_lstsq(pts, anchors, 0.8, exps, rhs, *out, COND_CAP_DEFAULT)
+    np.testing.assert_array_equal(ranks, [6, 3, 6, 6])
+    np.testing.assert_array_equal(out[2], [True, False, True, True])
 
 
 def test_reproduction_matrices_with_no_anchors(centers05):

@@ -199,9 +199,9 @@ def test_reproduce_rhs_matches_sympy(disk, monkeypatch):
     seen = []
     solve = lpr._min_norm_weights
 
-    def spy(pts, anchors, radius, exps, rhs):
+    def spy(pts, anchors, radius, exps, rhs, *args, **kwargs):
         seen.append((anchors, radius, np.array(rhs)))
-        return solve(pts, anchors, radius, exps, rhs)
+        return solve(pts, anchors, radius, exps, rhs, *args, **kwargs)
 
     monkeypatch.setattr(lpr, "_min_norm_weights", spy)
     t = np.array([0.3, 2.0, 4.4])
