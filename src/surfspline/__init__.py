@@ -42,7 +42,6 @@ from .harness import (
     ErrorReport,
     ExperimentConfig,
     converge,
-    greens_identity_check,
     oversampling_budget,
 )
 from .kernel import SplineParams, fs_constant, phi_from_r2
@@ -113,7 +112,6 @@ __all__ = [
     "ExperimentConfig",
     "ErrorReport",
     "converge",
-    "greens_identity_check",
     "oversampling_budget",
     "SurfsplineError",
     "SingularEvaluationError",

@@ -3,8 +3,9 @@
 Subcommands:
 
 ``converge``
-    Run a convergence ladder described by a ``key = value`` config file and
-    write the per-rung CSV plus the fitted-rate summary.
+    Run the convergence ladders described by one or more ``key = value``
+    config files, in order, and write each one's per-rung CSV plus its
+    fitted-rate summary.  Exits 1 if any rung failed.
 ``solve-dirichlet``
     Solve the polyharmonic Dirichlet problem for a named data function and
     dump the solution on an interior probe grid.
@@ -55,15 +56,22 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def _cmd_converge(args) -> int:
-    report = converge(ExperimentConfig.from_file(args.config), verbose=not args.quiet)
-    main_csv, rates_csv = report.write()
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if not args.quiet:
-        for p, rate in report.rates.items():
-            print(f"fitted l{p} rate: {rate:.3f}")
-    print(f"wrote {main_csv} and {rates_csv}")
-    return 0 if all(r.ok for r in report.rungs) else 1
+    # every config is read before the first ladder runs, so a bad one exits 2
+    # before any CSV is written
+    configs = [ExperimentConfig.from_file(path) for path in args.config]
+    status = 0
+    for config in configs:
+        report = converge(config, verbose=not args.quiet)
+        main_csv, rates_csv = report.write()
+        for warning in report.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        if not args.quiet:
+            for p, rate in report.rates.items():
+                print(f"fitted l{p} rate: {rate:.3f}")
+        print(f"wrote {main_csv} and {rates_csv}")
+        if not all(r.ok for r in report.rungs):
+            status = 1
+    return status
 
 
 def _cmd_solve_dirichlet(args) -> int:
@@ -98,7 +106,7 @@ def _cmd_approximate(args) -> int:
     apx = assemble_TXi(f, centers, grids)
     apx.save_csv(args.output)
     if args.centers:
-        centers.save_csv(args.centers)
+        _write_csv(args.centers, "x,y", centers.points)
         print(f"wrote centers to {args.centers}")
     if args.probe_grid:
         probes = probe_points(curve, args.probe_grid, 0.0)
@@ -179,8 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("converge", help="run a convergence ladder from a config")
-    p.add_argument("--config", required=True, help="key = value config file")
+    p = sub.add_parser("converge", help="run convergence ladders from configs")
+    p.add_argument(
+        "--config", required=True, action="extend", nargs="+", help="key = value config files"
+    )
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_converge)
 

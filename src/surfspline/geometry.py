@@ -50,6 +50,9 @@ _CURVE_SAMPLES = 4096
 #: refinements of the background grid that measures a fill distance
 _FILL_REFINE = 2
 
+#: uniform jitter of the center lattice, in units of the lattice spacing
+_JITTER = 0.12
+
 
 class DomainCurve:
     """Closed analytic boundary curve, star-shaped about the origin.
@@ -397,12 +400,6 @@ class CenterSet:
     def __len__(self) -> int:
         return int(self.points.shape[0])
 
-    def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,y\n")
-            for x, y in self.points:
-                fh.write(f"{float(x)!r},{float(y)!r}\n")
-
 
 def _interior_samples(curve: DomainCurve, spacing: float) -> np.ndarray:
     """Grid + boundary samples covering the closed domain at given spacing."""
@@ -441,7 +438,6 @@ def generate_centers(
     curve: DomainCurve,
     target_h: float,
     seed: int = 0,
-    jitter: float = 0.12,
 ) -> CenterSet:
     """Jittered hexagonal lattice clipped strictly inside the domain.
 
@@ -469,7 +465,7 @@ def generate_centers(
             xs = xs + 0.5 * s
         rows.append(np.column_stack([xs, np.full_like(xs, y)]))
     lattice = np.vstack(rows)
-    lattice += rng.uniform(-jitter * s, jitter * s, size=lattice.shape)
+    lattice += rng.uniform(-_JITTER * s, _JITTER * s, size=lattice.shape)
     near = np.hypot(lattice[:, 0], lattice[:, 1]) < curve.max_radius() + 0.5 * s
     cand = lattice[near]
     if cand.size == 0:

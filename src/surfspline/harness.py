@@ -1,4 +1,4 @@
-"""Experiment driver: convergence ladders, identity checks, rate fits, CSV.
+"""Experiment driver: convergence ladders, rate fits, CSV.
 
 A convergence experiment runs the approximation scheme down a dyadic ladder
 of fill distances, measures errors against a probe grid and an interior
@@ -19,17 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import DomainCurve, curve_from_spec, generate_centers, oversample_boundary
+from .geometry import curve_from_spec, generate_centers, oversample_boundary
 from .kernel import SplineParams
 from .layerpot import TraceMaps
 from .scheme import (
     assemble_TXi,
     eval_approximant,
-    greens_representation,
     interior_quadrature,
     probe_points,
     scheme_grids,
-    volume_potential,
 )
 from .targets import TARGET_LIBRARY, named_target
 
@@ -38,7 +36,6 @@ __all__ = [
     "RungResult",
     "ErrorReport",
     "converge",
-    "greens_identity_check",
     "oversampling_budget",
 ]
 
@@ -297,36 +294,6 @@ def converge(config: ExperimentConfig, *, verbose: bool = False) -> ErrorReport:
                 f"l{p} error not monotone along the ladder (preasymptotic bump?)"
             )
     return report
-
-
-def greens_identity_check(
-    curve: DomainCurve,
-    m: int,
-    target: str,
-    n: int = 256,
-    level: int = 32,
-    *,
-    probe_grid: int = 32,
-    constant_scale: float = 1.0,
-) -> float:
-    """Max probe error of the volume-plus-layers reconstruction of a target.
-
-    Reconstructs the named target inside the domain from its m-fold
-    Laplacian and its boundary traces and returns the worst error on a
-    probe grid 0.02 inside the boundary.  Because the volume term carries
-    the fundamental-solution normalization, this value validates that
-    constant: ``constant_scale`` deliberately mis-scales it so tests can
-    confirm the check actually bites (a scale of 2 must be O(1) off).
-    """
-    f = named_target(target, m)
-    params = SplineParams(m=m, d=2)
-    probes = probe_points(curve, probe_grid, 0.02)
-    vals = greens_representation(params, curve, f, n, level, probes)
-    if constant_scale != 1.0:
-        vals = vals + (constant_scale - 1.0) * volume_potential(
-            params, curve, f.m_laplacian, probes, level
-        )
-    return float(np.max(np.abs(vals - f(probes))))
 
 
 def oversampling_budget(m: int, p: float) -> float:

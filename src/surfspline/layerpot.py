@@ -28,8 +28,7 @@ normal), is
 
     lim inside - lim outside of op_(2m-1-j) V_j g = (-1)^(j+1) g,
 
-with all lower-order traces continuous.  ``jump_check`` measures the nodal
-deviation from this relation.
+with all lower-order traces continuous.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ __all__ = [
     "layer_potential",
     "TraceMaps",
     "one_sided_trace",
-    "jump_check",
 ]
 
 #: upsampling keeps n_f * (distance in parameter units) at least this large
@@ -366,26 +364,3 @@ def one_sided_trace(
     _check_densities(densities, slots, grid.n)
     maps = TraceMaps(params, grid, side=side, ks=(k,), slots=slots)
     return maps.apply(k, densities)
-
-
-def jump_check(
-    params: SplineParams,
-    j: int,
-    density: np.ndarray,
-    grid: BoundaryGrid,
-) -> float:
-    """Relative nodal deviation from the jump relation of op_(2m-1-j) V_j.
-
-    Computes inside and outside extrapolated traces of the top-order operator
-    for a single charged slot j and returns
-    ``max |(inside - outside) - (-1)^(j+1) g| / max |g|``.
-    """
-    density = np.asarray(density, dtype=float)
-    if density.shape != (grid.n,):
-        raise ValueError("density must be a nodal vector")
-    k = 2 * params.m - 1 - j
-    dens = density[None, :]
-    inner, _ = one_sided_trace(params, dens, grid, k, "inside", slots=(j,))
-    outer, _ = one_sided_trace(params, dens, grid, k, "outside", slots=(j,))
-    expected = (-1.0) ** (j + 1) * density
-    return float(np.max(np.abs((inner - outer) - expected)) / np.max(np.abs(density)))

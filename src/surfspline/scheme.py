@@ -258,7 +258,6 @@ def scheme_grids(
     *,
     nu: float | None = None,
     n_solver: int = 256,
-    level: int | None = None,
 ) -> SchemeGrids:
     """Default grids for assembling at fill distance ``h``.
 
@@ -266,8 +265,7 @@ def scheme_grids(
     resolves half the boundary-zone spacing (h, or h^nu when oversampling),
     and never falls below the solver grid.
     """
-    if level is None:
-        level = max(16, int(np.ceil(curve.diameter() / h)))
+    level = max(16, int(np.ceil(curve.diameter() / h)))
     h_local = h if nu is None else h**nu
     n_nodes = max(n_solver, int(np.ceil(curve.arclength() / (0.5 * h_local))))
     n_nodes += n_nodes % 2

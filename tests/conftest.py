@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings
 
 from surfspline.geometry import BoundaryGrid, circle, ellipse
 from surfspline.kernel import PairGeometry, PairPlan, SplineParams, pair_kernel
-from surfspline.layerpot import _neville_limit, trig_upsample
+from surfspline.layerpot import _neville_limit, one_sided_trace, trig_upsample
 from surfspline.targets import TargetFunction
 
 settings.register_profile(
@@ -53,6 +53,17 @@ def interior_points(curve, n, rng, margin=0.1):
         keep = r < curve.polar_radius(theta) - margin
         out.extend(cand[keep])
     return np.asarray(out[:n])
+
+
+def jump_error(params, j, density, grid):
+    """Relative nodal deviation from the jump relation of op_(2m-1-j) V_j:
+    ``max |(inside - outside) - (-1)^(j+1) g| / max |g|`` for the single
+    charged slot j."""
+    k = 2 * params.m - 1 - j
+    inner, _ = one_sided_trace(params, density[None, :], grid, k, "inside", slots=(j,))
+    outer, _ = one_sided_trace(params, density[None, :], grid, k, "outside", slots=(j,))
+    expected = (-1.0) ** (j + 1) * density
+    return float(np.max(np.abs((inner - outer) - expected)) / np.max(np.abs(density)))
 
 
 def direct_trace(params, densities, grid, k, side, slots):

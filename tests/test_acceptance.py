@@ -15,9 +15,8 @@ import pytest
 
 from surfspline.dirichlet import principal_symbol_matrix, solve_dirichlet
 from surfspline.geometry import BoundaryGrid, circle, generate_centers
-from surfspline.harness import ExperimentConfig, converge, greens_identity_check
+from surfspline.harness import ExperimentConfig, converge
 from surfspline.kernel import SplineParams
-from surfspline.layerpot import jump_check
 from surfspline.lpr import interior_reproduction_matrix
 from surfspline.polyspace import PolyBasis
 from surfspline.scheme import (
@@ -26,11 +25,13 @@ from surfspline.scheme import (
     boundary_support_is_local,
     error_kernel_norms,
     extension_continuity,
+    greens_representation,
     probe_points,
     scheme_grids,
+    volume_potential,
 )
 from surfspline.targets import named_target
-from tests.conftest import interior_points
+from tests.conftest import interior_points, jump_error
 
 PARAMS = SplineParams(m=2, d=2)
 DISK = circle(1.0)
@@ -83,11 +84,15 @@ def test_criterion_01_volume_plus_layers_identity():
     # boundary traces; also confirm the check has teeth by detuning the
     # kernel normalization
     t0 = time.perf_counter()
-    err = greens_identity_check(DISK, 2, "expx", n=256, level=32, probe_grid=32)
+    f = named_target("expx", 2)
+    probes = probe_points(DISK, 32, 0.02)
+    err = np.max(np.abs(greens_representation(PARAMS, DISK, f, 256, 32, probes) - f(probes)))
     elapsed = time.perf_counter() - t0
-    detuned = greens_identity_check(
-        DISK, 2, "expx", n=128, level=24, probe_grid=16, constant_scale=2.0
+    probes = probe_points(DISK, 16, 0.02)
+    doubled = greens_representation(PARAMS, DISK, f, 128, 24, probes) + volume_potential(
+        PARAMS, DISK, f.m_laplacian, probes, 24
     )
+    detuned = np.max(np.abs(doubled - f(probes)))
     _report(
         "identity",
         f"max probe error {err:.3e} in {elapsed:.1f}s; "
@@ -126,7 +131,7 @@ def test_criterion_03_jump_relations_all_orders():
     for n in (128, 256):
         grid = BoundaryGrid.build(DISK, n)
         g = np.cos(grid.t)
-        errs[n] = [jump_check(PARAMS, j, g, grid) for j in range(4)]
+        errs[n] = [jump_error(PARAMS, j, g, grid) for j in range(4)]
     _report(
         "jumps",
         "n=256: " + " ".join(f"j{j}={e:.2e}" for j, e in enumerate(errs[256])),

@@ -1,9 +1,15 @@
 """End-to-end command-line interface checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from surfspline.cli import main
+from surfspline.geometry import circle, fill_distance, generate_centers
+from surfspline.harness import ExperimentConfig
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_check_symbols_exit_codes(capsys):
@@ -30,6 +36,7 @@ def test_unknown_subcommand():
         ["solve-dirichlet", "--data", "nosuch"],
         ["approximate", "--target", "nosuch"],
         ["extend", "--target", "nosuch", "--points", "0,0"],
+        ["extend", "--target", "gaus", "--ray", "0.5,2,8,4"],
     ],
 )
 def test_unknown_target_names_are_rejected(argv, capsys):
@@ -37,7 +44,7 @@ def test_unknown_target_names_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "invalid choice: 'nosuch'" in err and "harmonic3" in err and "wave" in err
+    assert f"invalid choice: '{argv[2]}'" in err and "harmonic3" in err and "wave" in err
 
 
 def test_solve_dirichlet_writes_csv(tmp_path, capsys):
@@ -81,7 +88,13 @@ def test_approximate_with_centers_and_report(tmp_path, capsys):
     assert rc == 0
     txt = capsys.readouterr().out
     assert "max probe error" in txt
-    assert cpath.read_text(encoding="utf-8").startswith("x,y\n")
+    header, *rows = cpath.read_text(encoding="utf-8").splitlines()
+    assert header == "x,y"
+    points = np.array([[float(v) for v in row.split(",")] for row in rows])
+    # every bit of every coordinate survives the text
+    centers = generate_centers(circle(1.0), 0.2, seed=0)
+    np.testing.assert_array_equal(points, centers.points)
+    assert fill_distance(points, circle(1.0)) == pytest.approx(centers.fill, rel=0.05)
     kinds = [line.split(",")[0] for line in out.read_text(encoding="utf-8").splitlines()[1:]]
     assert kinds.count("center") > 20
     assert kinds.count("poly") == 3
@@ -224,3 +237,76 @@ def test_converge_config_errors_exit_2_without_output(tmp_path, capsys, line):
     assert captured.err.startswith("error: ")
     assert "h=" not in captured.out
     assert not list(tmp_path.glob("runout*"))
+
+
+def _tiny_config(path, output, seed=0, target="wave"):
+    path.write_text(
+        "[experiment]\n"
+        "curve = disk\n"
+        f"target = {target}\n"
+        "h_ladder = 0.3 0.25 0.2\n"
+        "probe_grid = 64\n"
+        "quad_level = 16\n"
+        "n_solver = 64\n"
+        f"seed = {seed}\n"
+        f"output = {output}\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("repeat_option", [False, True], ids=["one-option", "two-options"])
+def test_converge_runs_every_config(tmp_path, capsys, repeat_option):
+    a = _tiny_config(tmp_path / "a.cfg", tmp_path / "out" / "a")
+    b = _tiny_config(tmp_path / "b.cfg", tmp_path / "out" / "b", seed=1)
+    configs = ["--config", a, "--config", b] if repeat_option else ["--config", a, b]
+    assert main(["converge", *configs]) == 0
+    out = capsys.readouterr().out
+    assert out.count("fitted linf rate") == 2
+    for stem in ("a", "b"):
+        assert (tmp_path / "out" / f"{stem}.csv").is_file()
+        assert (tmp_path / "out" / f"{stem}_rates.csv").is_file()
+
+
+def test_converge_reads_every_config_before_the_first_ladder(tmp_path, capsys):
+    a = _tiny_config(tmp_path / "a.cfg", tmp_path / "out" / "a")
+    b = _tiny_config(tmp_path / "b.cfg", tmp_path / "out" / "b", target="gaus")
+    assert main(["converge", "--config", a, b]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "gaus" in captured.err
+    assert "h=" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+def test_converge_exits_1_when_any_ladder_fails_a_rung(tmp_path, capsys, monkeypatch):
+    # the second config's centers cannot be built, so its rungs fail; the
+    # first ladder is untouched and both reports are still written
+    from surfspline import harness
+
+    real = harness.generate_centers
+
+    def no_centers_for_seed_1(curve, h, seed=0):
+        if seed == 1:
+            raise RuntimeError("no centers")
+        return real(curve, h, seed=seed)
+
+    monkeypatch.setattr(harness, "generate_centers", no_centers_for_seed_1)
+    a = _tiny_config(tmp_path / "a.cfg", tmp_path / "out" / "a")
+    b = _tiny_config(tmp_path / "b.cfg", tmp_path / "out" / "b", seed=1)
+    assert main(["converge", "--quiet", "--config", a, b]) == 1
+    table_a = (tmp_path / "out" / "a.csv").read_text(encoding="utf-8")
+    table_b = (tmp_path / "out" / "b.csv").read_text(encoding="utf-8")
+    assert table_a.count(",ok\n") == 3
+    assert table_b.count("RuntimeError: no centers") == 3
+
+
+SHIPPED_CONFIGS = sorted((ROOT / "experiments").glob("*.cfg"))
+
+
+def test_configs_are_shipped():
+    assert SHIPPED_CONFIGS
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_parses_and_writes_under_results(path):
+    assert Path(ExperimentConfig.from_file(path).output).parts[0] == "results"

@@ -133,18 +133,6 @@ def test_generate_centers_rejects_oversized_h(disk):
         generate_centers(disk, 5.0)
 
 
-def test_center_set_csv_roundtrip(disk, tmp_path):
-    cs = generate_centers(disk, 0.2, seed=1)
-    path = tmp_path / "centers.csv"
-    cs.save_csv(path)
-    header, *rows = path.read_text(encoding="utf-8").splitlines()
-    assert header == "x,y"
-    points = np.array([[float(v) for v in row.split(",")] for row in rows])
-    # every bit of every coordinate survives the text
-    np.testing.assert_array_equal(points, cs.points)
-    assert fill_distance(points, disk) == pytest.approx(cs.fill, rel=0.05)
-
-
 # ---------------------------------------------------------------------------
 # boundary oversampling
 # ---------------------------------------------------------------------------

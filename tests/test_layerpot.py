@@ -10,14 +10,13 @@ from surfspline.kernel import SplineParams, boundary_kernel
 from surfspline.layerpot import (
     TraceMaps,
     _neville_limit,
-    jump_check,
     kress_log_weights,
     layer_potential,
     nystrom_matrix,
     one_sided_trace,
     trig_upsample,
 )
-from tests.conftest import direct_trace
+from tests.conftest import direct_trace, jump_error
 
 # ---------------------------------------------------------------------------
 # log-splitting quadrature and trigonometric interpolation
@@ -299,7 +298,7 @@ def test_neville_limit_bitwise_equals_inline_loops(deltas, rng):
 def test_jump_relation_single_slot(params2, disk):
     # top-order trace of V_0 jumps by (-1)^(0+1) g = -g across the boundary
     grid = BoundaryGrid.build(disk, 128)
-    assert jump_check(params2, 0, np.cos(grid.t), grid) < 5e-3
+    assert jump_error(params2, 0, np.cos(grid.t), grid) < 5e-3
 
 
 # ---------------------------------------------------------------------------
