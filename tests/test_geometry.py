@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from surfspline.cli import main
 from surfspline.errors import DensityUnreachableError, ReachViolationError, StarShapeError
 from surfspline.geometry import (
     BoundaryGrid,
@@ -131,6 +132,21 @@ def test_generate_centers_deterministic(ell21):
 def test_generate_centers_rejects_oversized_h(disk):
     with pytest.raises(DensityUnreachableError):
         generate_centers(disk, 5.0)
+
+
+def test_center_set_csv_roundtrip(disk, tmp_path):
+    # the center CSV is written by `approximate --centers`, from the same
+    # seeded lattice that generate_centers builds
+    cs = generate_centers(disk, 0.2, seed=0)
+    path = tmp_path / "centers.csv"
+    argv = ["approximate", "--curve", "disk", "--h", "0.2", "--n", "64"]
+    assert main([*argv, "--output", str(tmp_path / "apx.csv"), "--centers", str(path)]) == 0
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert header == "x,y"
+    points = np.array([[float(v) for v in row.split(",")] for row in rows])
+    # every bit of every coordinate survives the text
+    np.testing.assert_array_equal(points, cs.points)
+    assert fill_distance(points, disk) == pytest.approx(cs.fill, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
