@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import ResidualToleranceError, SingularSystemError
 from .geometry import BoundaryGrid
@@ -153,10 +152,11 @@ def solve_dirichlet(
 
     ``data`` may be an (m, n) array of boundary values or a
     :class:`~surfspline.targets.TargetFunction`, in which case the rows are
-    its traces on the grid.  The bordered system is LU-factored; the
-    solution is polished with one round of iterative refinement and
-    rejected if the relative residual stays above ``residual_tol``.  The
-    reciprocal condition number is estimated from the LU factors.
+    its traces on the grid.  One LU factorization of the bordered system
+    solves for the solution and for the inverse; the solution is polished
+    with one round of iterative refinement through the inverse and rejected
+    if the relative residual stays above ``residual_tol``.  The reciprocal
+    condition number is the exact 1-norm one, 1 / (||A||_1 ||A^-1||_1).
     """
     if isinstance(data, TargetFunction):
         data = data.boundary_data(grid)
@@ -169,26 +169,20 @@ def solve_dirichlet(
     N = basis.dimension
     rhs = np.concatenate([np.zeros(N), data.ravel()])
     try:
-        lu, piv = lu_factor(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SingularSystemError(str(exc)) from exc
-    if not np.all(np.isfinite(lu)):
-        raise SingularSystemError("boundary system factorization produced non-finite values")
-    z = lu_solve((lu, piv), rhs)
-    z = z + lu_solve((lu, piv), rhs - A @ z)
+        sol = np.linalg.solve(A, np.column_stack([rhs, np.eye(len(A))]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"boundary system is singular: {exc}") from exc
+    if not np.all(np.isfinite(sol)):
+        raise SingularSystemError("boundary system solve produced non-finite values")
+    z, A_inv = sol[:, 0], sol[:, 1:]
+    z = z + A_inv @ (rhs - A @ z)
     scale = max(float(np.max(np.abs(rhs))), 1e-300)
     residual = float(np.max(np.abs(rhs - A @ z))) / scale
     if residual > residual_tol:
         raise ResidualToleranceError(
             f"boundary system residual {residual:.3e} exceeds {residual_tol:.1e}"
         )
-    gecon = get_lapack_funcs("gecon", (A,))
-    anorm = float(np.linalg.norm(A, 1))
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0 or not rcond > 0:
-        raise SingularSystemError(
-            f"condition estimate failed (info={info}, rcond={rcond})"
-        )
+    rcond = 1.0 / (np.linalg.norm(A, 1) * np.linalg.norm(A_inv, 1))
     return DirichletSolution(
         params=params,
         grid=grid,

@@ -12,6 +12,10 @@ measured (not assumed) by a refined background grid.  Boundary oversampling
 appends thin inward layers of points along the boundary at a prescribed
 spacing, which is how the scheme trades extra centers near the boundary for a
 higher convergence rate.
+
+Neighbour searches (the ball queries of the reproductions, nearest
+distances for the fill and the boundary clip) bucket the points into a
+grid of square cells and test only the cells a query's disk can reach.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DensityUnreachableError,
@@ -52,6 +55,17 @@ _FILL_REFINE = 2
 
 #: uniform jitter of the center lattice, in units of the lattice spacing
 _JITTER = 0.12
+
+#: cells across a ball query's radius; finer cells test fewer points outside
+#: the ball but lay out more cell ranges per query
+_CELLS_PER_RADIUS = 8
+
+#: candidate (query, point) pairs one chunk of a neighbour search tests; a
+#: chunk holds whole queries, so its transient arrays stay under a MB each
+_CANDIDATE_BUDGET = 1 << 16
+
+#: queries whose cell ranges are laid out at once
+_QUERY_BLOCK = 4096
 
 
 class DomainCurve:
@@ -377,6 +391,167 @@ def signed_distance(curve: DomainCurve, points, return_foot: bool = False):
 
 
 # ---------------------------------------------------------------------------
+# neighbour search
+# ---------------------------------------------------------------------------
+
+
+class _CellGrid:
+    """Points bucketed into square cells of side ``cell``.
+
+    The points are stored cell by cell, the cells row by row with x
+    fastest, and the points of one cell in index order; so the points of a
+    run of cells along one row form one contiguous slice.  The layout
+    depends only on the points and the cell side.
+    """
+
+    def __init__(self, points: np.ndarray, cell: float, extent: float):
+        self.origin = points.min(axis=0)
+        self.cell = cell
+        self.nx, self.ny = (np.floor((points.max(axis=0) - self.origin) / cell) + 1).astype(int)
+        ij = np.floor((points - self.origin) / cell).astype(np.intp)
+        key = np.minimum(ij[:, 1], self.ny - 1) * self.nx + np.minimum(ij[:, 0], self.nx - 1)
+        self.order = np.argsort(key, kind="stable")
+        self.x = points[self.order, 0]
+        self.y = points[self.order, 1]
+        self.starts = np.zeros(self.nx * self.ny + 1, dtype=np.intp)
+        np.cumsum(np.bincount(key, minlength=self.nx * self.ny), out=self.starts[1:])
+        # widening of the cell bounds, far above the rounding of coordinates
+        # up to ``extent`` in magnitude
+        self.pad = 1e-9 * (cell + extent)
+
+    def _slices(self, rows, left, right, keep):
+        """Stored-point slices ``[lo, hi)`` of the cells ``left..right`` of
+        each row, empty where ``keep`` is false."""
+        cell = np.where(keep, rows * self.nx + left, 0).astype(np.intp)
+        width = np.where(keep, right - left + 1, 0).astype(np.intp)
+        return self.starts[cell], self.starts[cell + width]
+
+    def disk_slices(self, queries: np.ndarray, radius: float):
+        """Per query and cell row, the slice of the cells that the query's
+        closed disk of ``radius`` reaches: every point whose computed
+        squared distance is within ``radius**2`` lies in one of them."""
+        pad = self.pad + 1e-9 * radius
+        reach = radius + pad
+        c, (x0, y0) = self.cell, self.origin
+        qx, qy = queries[:, :1], queries[:, 1:]
+        first = np.floor((qy - reach - y0) / c)
+        rows = np.clip(first + np.arange(int(np.ceil(2 * reach / c)) + 2), -1, self.ny)
+        bottom = y0 + rows * c
+        gap = np.maximum(np.maximum(bottom - qy, qy - (bottom + c)) - pad, 0.0)
+        half = np.sqrt(np.maximum(reach * reach - gap * gap, 0.0)) + pad
+        left = np.clip(np.floor((qx - half - x0) / c), 0, self.nx - 1)
+        right = np.clip(np.floor((qx + half - x0) / c), 0, self.nx - 1)
+        keep = (rows >= 0) & (rows < self.ny) & (gap <= reach) & (left <= right)
+        return self._slices(rows, left, right, keep)
+
+    def block_slices(self, queries: np.ndarray):
+        """Per query and cell row, the slice of the 3 x 3 cells around the
+        query's cell: every point closer than one cell side lies in one."""
+        ij = np.floor((queries - self.origin) / self.cell)
+        rows = np.clip(ij[:, 1:], -2, self.ny + 1) + np.arange(-1, 2)
+        left = np.clip(ij[:, :1] - 1, 0, self.nx - 1)
+        right = np.clip(ij[:, :1] + 1, 0, self.nx - 1)
+        return self._slices(rows, left, right, (rows >= 0) & (rows < self.ny))
+
+    def candidates(self, queries: np.ndarray, slices):
+        """Yield the points in each query's slices, a chunk of queries at a time.
+
+        ``slices`` maps a block of queries to its ``(lo, hi)`` slices.  Each
+        item is ``(first, counts, pos, d2)``: the chunk's first query, its
+        number of candidates per query, the stored positions of the
+        candidates (query by query, each query's in storage order) and
+        their squared distances to their query, summed as a KD-tree sums
+        them.
+        """
+        for b0 in range(0, len(queries), _QUERY_BLOCK):
+            q = queries[b0:b0 + _QUERY_BLOCK]
+            lo, hi = slices(q)
+            size = hi - lo
+            counts = size.sum(axis=1)
+            ends = np.cumsum(counts)
+            a = 0
+            while a < len(q):
+                base = ends[a] - counts[a]
+                b = max(a + 1, int(np.searchsorted(ends, base + _CANDIDATE_BUDGET, "right")))
+                sz = size[a:b].ravel()
+                pos = np.repeat(lo[a:b].ravel() - (np.cumsum(sz) - sz), sz)
+                pos += np.arange(ends[b - 1] - base)
+                dx = self.x[pos]
+                dx -= np.repeat(q[a:b, 0], counts[a:b])
+                dy = self.y[pos]
+                dy -= np.repeat(q[a:b, 1], counts[a:b])
+                dx *= dx
+                dy *= dy
+                dx += dy
+                yield b0 + a, counts[a:b], pos, dx
+                a = b
+
+
+def _extent(points: np.ndarray, queries: np.ndarray) -> float:
+    """Largest coordinate magnitude, which sets a grid's rounding slack."""
+    return max(float(np.max(np.abs(points))), float(np.max(np.abs(queries), initial=0.0)))
+
+
+def _ball_query(points: np.ndarray, queries: np.ndarray, radius: float):
+    """The points within ``radius`` of each query, the bound included.
+
+    Returns ``(counts, flat)``: query q's point indices are
+    ``flat[s:s + counts[q]]`` with ``s = counts[:q].sum()``.  A ball lists
+    its points in the grid's storage order, which depends only on the
+    points and the radius, so a query's ball is the same whichever other
+    queries share the call.  Cells are a fraction of the radius, but no
+    finer than a few per point.
+    """
+    span = float(np.max(np.ptp(points, axis=0)))
+    cell = max(radius / _CELLS_PER_RADIUS, span / (2.0 * np.sqrt(len(points)) + 1.0))
+    grid = _CellGrid(points, cell, _extent(points, queries))
+    r2 = radius * radius
+    counts = np.zeros(len(queries), dtype=np.intp)
+    parts = [np.empty(0, dtype=np.intp)]
+    for first, per_query, pos, d2 in grid.candidates(
+        queries, lambda q: grid.disk_slices(q, radius)
+    ):
+        inside = d2 <= r2
+        seen = np.zeros(inside.size + 1, dtype=np.intp)
+        np.cumsum(inside, out=seen[1:])
+        ends = np.cumsum(per_query)
+        counts[first:first + per_query.size] = seen[ends] - seen[ends - per_query]
+        parts.append(grid.order[pos[inside]])
+    return counts, np.concatenate(parts)
+
+
+def _nearest_distance(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Distance from each query to its nearest point.
+
+    The square root of the smallest squared distance, which is what a
+    KD-tree reports, to the bit.  Cells start at about half the points'
+    mean spacing; a query whose 3 x 3 cell block holds no point closer
+    than a cell side searches again on cells twice as wide.
+    """
+    span = np.maximum(points.max(axis=0), queries.max(axis=0)) - np.minimum(
+        points.min(axis=0), queries.min(axis=0)
+    )
+    cell = max(float(np.max(span)), 1e-300) / (2.0 * np.sqrt(len(points)) + 1.0)
+    extent = _extent(points, queries)
+    best = np.empty(len(queries))
+    todo = np.arange(len(queries))
+    while todo.size:
+        grid = _CellGrid(points, cell, extent)
+        found = np.full(todo.size, np.inf)
+        for first, per_query, pos, d2 in grid.candidates(queries[todo], grid.block_slices):
+            hit = np.flatnonzero(per_query)
+            if hit.size:
+                starts = np.cumsum(per_query) - per_query
+                found[first + hit] = np.minimum.reduceat(d2, starts[hit])
+        reach = max(cell - grid.pad, 0.0)
+        settled = found <= reach * reach
+        best[todo[settled]] = found[settled]
+        todo = todo[~settled]
+        cell *= 2.0
+    return np.sqrt(best)
+
+
+# ---------------------------------------------------------------------------
 # center sets
 # ---------------------------------------------------------------------------
 
@@ -422,12 +597,11 @@ def fill_distance(points, curve: DomainCurve) -> float:
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise ValueError("empty point set")
-    tree = cKDTree(pts)
     spacing = curve.diameter() / 64.0
     h = None
     for _ in range(_FILL_REFINE + 1):
         samples = _interior_samples(curve, spacing)
-        h = float(np.max(tree.query(samples)[0]))
+        h = float(np.max(_nearest_distance(pts, samples)))
         if spacing <= h / 5.0:
             break
         spacing = max(h / 6.0, 1e-4)
@@ -479,9 +653,8 @@ def generate_centers(
         pushed = curve.point(tfoot) - 1.2 * clip_depth * curve.normal(tfoot)
         # thin pushed points that crowd an existing deep point or each other
         keep = np.ones(len(pushed), dtype=bool)
-        tree = cKDTree(pts) if len(pts) else None
-        if tree is not None:
-            keep &= tree.query(pushed)[0] > 0.45 * s
+        if len(pts):
+            keep &= _nearest_distance(pts, pushed) > 0.45 * s
         order = np.flatnonzero(keep)
         chosen: list[int] = []
         for idx in order:

@@ -91,7 +91,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        """Read a ``key = value`` config file ([experiment] section)."""
+        """Read a ``key = value`` config file ([experiment] section).
+
+        Beyond the checks every config gets when built, a file's sup-norm
+        probe grid must hold a point inside the domain, so a run over
+        several files can refuse a bad one before the first ladder.
+        """
         cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         with open(path, encoding="utf-8") as fh:
             try:
@@ -122,7 +127,10 @@ class ExperimentConfig:
                 kw["oversample"] = "critical"
             else:
                 kw["oversample"] = float(raw)
-        return cls(**kw)
+        config = cls(**kw)
+        if "inf" in config.norms:
+            _sup_norm_probes(config, curve_from_spec(config.curve))
+        return config
 
     def resolved_nu(self) -> float | None:
         if self.oversample is None:
@@ -188,6 +196,13 @@ class ErrorReport:
         return main, rates
 
 
+def _sup_norm_probes(config: ExperimentConfig, curve) -> np.ndarray:
+    probes = probe_points(curve, config.probe_grid, 0.0)
+    if len(probes) == 0:
+        raise ValueError(f"probe_grid = {config.probe_grid} holds no point inside the domain")
+    return probes
+
+
 def _norm_errors(norms, probe_err, quad, quad_err):
     out = {}
     for p in norms:
@@ -222,9 +237,7 @@ def converge(config: ExperimentConfig, *, verbose: bool = False) -> ErrorReport:
 
     probes = fp = quad = fq = None
     if "inf" in config.norms:
-        probes = probe_points(curve, config.probe_grid, 0.0)
-        if len(probes) == 0:
-            raise ValueError(f"probe_grid = {config.probe_grid} holds no point inside the domain")
+        probes = _sup_norm_probes(config, curve)
         fp = f(probes)
     if {"1", "2"} & set(config.norms):
         quad = interior_quadrature(curve, config.quad_level)

@@ -20,10 +20,12 @@ and decays at rate (1 + dist/h)^-(d+1), which is the engine behind the
 convergence rates of the approximation scheme.
 
 All anchors of one call share the nominal radius and its growth sequence,
-so the reproductions are built a radius step at a time: one KD-tree query
-for every anchor still open, then one batched minimum-norm solve per group
-of anchors with the same support size.  A row's numbers depend only on its
-own support, never on which other anchors share its batch.
+so the reproductions are built a radius step at a time: one cell-grid ball
+query for every anchor still open, then one batched minimum-norm solve per
+group of anchors with the same support size.  A support lists its centers
+in an order fixed by the centers and the radius alone, so a row's numbers
+depend only on its own support, never on which other anchors share its
+batch.
 
 A support is accepted only if its Vandermonde's condition number is within
 ``cond_cap``.  The Frobenius bound cond(R) <= ||R||_F ||R^-1||_F of the
@@ -35,13 +37,11 @@ the one an SVD of every row gives.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
 from .errors import NormingFailureError
+from .geometry import _ball_query
 from .polyspace import PolyBasis
 
 __all__ = [
@@ -182,7 +182,6 @@ def _reproduce(
     (anchors x centers), and per-anchor l1 mass and support radius.
     """
     centers = np.asarray(centers, dtype=float)
-    tree = cKDTree(centers)
     if max_radius is None:
         max_radius = 4.0 * float(np.max(np.linalg.norm(centers, axis=1))) + 10 * h
     basis = PolyBasis.up_to_degree(order)
@@ -222,12 +221,7 @@ def _reproduce(
             open_ = open_[best_step[open_] < 0]
             if not open_.size:
                 break
-        lists = tree.query_ball_point(anchors[open_], radius, return_sorted=False)
-        counts = np.fromiter(map(len, lists), dtype=np.intp, count=open_.size)
-        flat = np.fromiter(
-            chain.from_iterable(lists), dtype=np.intp, count=int(counts.sum())
-        )
-        del lists  # a Python int per neighbour: the largest object of a step
+        counts, flat = _ball_query(centers, anchors[open_], radius)
         starts = np.cumsum(counts) - counts
         by_size = np.argsort(counts, kind="stable")
         edges = np.flatnonzero(np.diff(counts[by_size])) + 1

@@ -232,13 +232,13 @@ def test_converge_config_errors_exit_2_without_output(tmp_path, capsys, line):
     assert not list(tmp_path.glob("runout*"))
 
 
-def _tiny_config(path, output, seed=0, target="wave"):
+def _tiny_config(path, output, seed=0, target="wave", probe_grid=64):
     path.write_text(
         "[experiment]\n"
         "curve = disk\n"
         f"target = {target}\n"
         "h_ladder = 0.3 0.25 0.2\n"
-        "probe_grid = 64\n"
+        f"probe_grid = {probe_grid}\n"
         "quad_level = 16\n"
         "n_solver = 64\n"
         f"seed = {seed}\n"
@@ -262,13 +262,16 @@ def test_converge_runs_every_config(tmp_path, capsys, repeat_option):
 
 
 def test_converge_reads_every_config_before_the_first_ladder(tmp_path, capsys):
-    a = _tiny_config(tmp_path / "a.cfg", tmp_path / "out" / "a")
-    b = _tiny_config(tmp_path / "b.cfg", tmp_path / "out" / "b", target="gaus")
-    assert main(["converge", "--config", a, b]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "gaus" in captured.err
-    assert "h=" not in captured.out
-    assert not (tmp_path / "out").exists()
+    # a bad second config exits 2 before the first ladder writes anything
+    for bad, message in [({"target": "gaus"}, "gaus"), ({"probe_grid": 1}, "probe_grid = 1")]:
+        out = tmp_path / next(iter(bad))
+        a = _tiny_config(tmp_path / "a.cfg", out / "a")
+        b = _tiny_config(tmp_path / "b.cfg", out / "b", **bad)
+        assert main(["converge", "--config", a, b]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "h=" not in captured.out
+        assert not out.exists()
 
 
 def test_converge_exits_1_when_any_ladder_fails_a_rung(tmp_path, capsys, monkeypatch):

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
+from surfspline import dirichlet
 from surfspline.dirichlet import (
     assemble_boundary_system,
     compute_Nj,
     principal_symbol_matrix,
     solve_dirichlet,
 )
-from surfspline.errors import ResidualToleranceError
+from surfspline.errors import ResidualToleranceError, SingularSystemError
+from surfspline.geometry import BoundaryGrid
 from surfspline.polyspace import PolyBasis
 from surfspline.targets import named_target
 from tests.conftest import direct_trace, interior_points, target_from_expression
@@ -83,6 +86,55 @@ def test_solver_residual_and_condition_reported(grid256):
         solve_dirichlet(
             sol.params, grid256, named_target("wave", 2), residual_tol=0.0
         )
+
+
+def _bordered_system(grid, name):
+    params, f, sol = _solve(grid, name)
+    A = assemble_boundary_system(params, grid)
+    rhs = np.concatenate([np.zeros(sol.poly_coeffs.size), f.boundary_data(grid).ravel()])
+    return A, rhs, sol
+
+
+def test_solution_agrees_with_a_scipy_lu_oracle(grid256):
+    # the oracle: scipy's LU factors, one solve and one refinement step
+    A, rhs, sol = _bordered_system(grid256, "wave")
+    lu, piv = lu_factor(A)
+    oracle = lu_solve((lu, piv), rhs)
+    oracle = oracle + lu_solve((lu, piv), rhs - A @ oracle)
+    z = np.concatenate([sol.poly_coeffs, sol.densities.ravel()])
+    scale = np.max(np.abs(rhs))
+    assert np.max(np.abs(rhs - A @ z)) / scale < 1e-12
+    assert np.max(np.abs(rhs - A @ oracle)) / scale < 1e-12
+    assert np.max(np.abs(A @ (z - oracle))) / scale < 1e-12
+
+
+@pytest.mark.parametrize("curve", ["disk", "ell21"])
+def test_rcond_is_the_exact_one_norm_value(request, curve):
+    grid = BoundaryGrid.build(request.getfixturevalue(curve), 256)
+    A, _, sol = _bordered_system(grid, "wave")
+    exact = 1.0 / (np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1))
+    assert sol.rcond == pytest.approx(exact, rel=1e-9)
+    # LAPACK's gecon estimates ||A^-1||_1 from below, so its rcond is no smaller
+    gecon = get_lapack_funcs("gecon", (A,))
+    estimate, info = gecon(lu_factor(A)[0], np.linalg.norm(A, 1), norm="1")
+    assert info == 0 and sol.rcond <= estimate
+
+
+@pytest.mark.parametrize("flaw", ["zero-column", "nan-entry"])
+def test_singular_system_raises_singular_system_error(grid256, params2, monkeypatch, flaw):
+    real = dirichlet.assemble_boundary_system
+
+    def flawed(params, grid):
+        A = real(params, grid)
+        if flaw == "zero-column":
+            A[:, 5] = 0.0  # an exact zero pivot in the factorization
+        else:
+            A[7, 9] = np.nan
+        return A
+
+    monkeypatch.setattr(dirichlet, "assemble_boundary_system", flawed)
+    with pytest.raises(SingularSystemError):
+        solve_dirichlet(params2, grid256, named_target("wave", 2))
 
 
 def test_solver_validates_data_shape(grid256, params2):

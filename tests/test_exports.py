@@ -1,9 +1,13 @@
 """Every name a module exports through ``__all__``, and every name the
-benchmark wraps, exists; and the package keeps no module-level cache."""
+benchmark wraps, exists; the package keeps no module-level cache; and its
+import loads no scipy subpackage but ``scipy.sparse``."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +76,38 @@ def test_no_functools_caches_in_the_package():
                 continue
             found += [f"{path.name}:{node.lineno} functools.{name}" for name in names]
     assert not found, f"module-level caches in the package: {found}"
+
+
+def test_import_loads_scipy_sparse_only():
+    # the cold start pays for scipy.sparse alone (scipy's private helpers
+    # aside): neighbour searches run on a numpy cell grid and the Dirichlet
+    # solve on numpy's LAPACK
+    code = (
+        "import sys\n"
+        "import surfspline\n"
+        "import surfspline.cli\n"
+        "names = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}\n"
+        "public = {n for n in names if not n.startswith('_')}\n"
+        "print(' '.join(sorted(n for n in public if hasattr(sys.modules['scipy.' + n], '__path__'))))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(surfspline.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    packages = set(proc.stdout.split())
+    assert not {"spatial", "linalg"} & packages
+    assert packages == {"sparse"}
+    # nor does any code path import them later
+    imported = []
+    for path in sorted(Path(surfspline.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    assert not [
+        name for name in imported if name.startswith(("scipy.spatial", "scipy.linalg"))
+    ]

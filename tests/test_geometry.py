@@ -7,10 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from surfspline import geometry
 from surfspline.cli import main
 from surfspline.errors import DensityUnreachableError, ReachViolationError, StarShapeError
 from surfspline.geometry import (
     BoundaryGrid,
+    _ball_query,
+    _nearest_distance,
     circle,
     curve_from_spec,
     ellipse,
@@ -66,6 +69,124 @@ def test_polar_radius_separates_inside_outside(psi, which):
     outer = 1.02 * r * np.array([np.cos(psi), np.sin(psi)])
     assert curve.is_inside(inner[None])[0]
     assert not curve.is_inside(outer[None])[0]
+
+
+# ---------------------------------------------------------------------------
+# neighbour search, against scipy's KD-tree as the oracle
+# ---------------------------------------------------------------------------
+
+
+def _balls(counts, flat):
+    return np.split(flat, np.cumsum(counts)[:-1])
+
+
+def _assert_balls_match_kdtree(points, queries, radius):
+    counts, flat = _ball_query(points, queries, radius)
+    assert counts.shape == (len(queries),) and flat.size == counts.sum()
+    expected = cKDTree(points).query_ball_point(queries, radius)
+    for q, (ball, want) in enumerate(zip(_balls(counts, flat), expected)):
+        assert sorted(ball.tolist()) == sorted(want), f"query {q}"
+
+
+def _point_sets(draw_seed, kind, n, scale):
+    rng = np.random.default_rng(draw_seed)
+    if kind == "uniform":
+        return scale * rng.uniform(-1.0, 1.0, size=(n, 2)), rng
+    side = int(np.ceil(np.sqrt(n)))
+    lattice = np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)
+    return scale * (lattice[:n] + rng.uniform(-0.3, 0.3, size=(n, 2))) / side, rng
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["uniform", "jittered-lattice"]),
+    n=st.integers(1, 400),
+    n_queries=st.integers(1, 200),
+    scale=st.sampled_from([1e-3, 1.0, 50.0]),
+    radius=st.floats(1e-4, 2.5),
+)
+def test_ball_query_matches_kdtree(seed, kind, n, n_queries, scale, radius):
+    points, rng = _point_sets(seed, kind, n, scale)
+    # queries reach past the points' bounding box on every side
+    queries = 1.5 * scale * rng.uniform(-1.0, 1.0, size=(n_queries, 2))
+    _assert_balls_match_kdtree(points, queries, radius * scale)
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0, 3.0, 5.0])
+def test_ball_query_counts_exact_ties_on_an_integer_lattice(radius):
+    # every squared distance and the squared radius are exact integers, so
+    # the points at distance exactly ``radius`` are in, as the KD-tree has it
+    lattice = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), -1).reshape(-1, 2)
+    _assert_balls_match_kdtree(lattice, lattice, radius)
+    _assert_balls_match_kdtree(lattice, lattice + 0.5, radius)
+    counts, _ = _ball_query(lattice, np.array([[6.0, 6.0]]), radius)
+    inside = sum(1 for i in range(-5, 6) for j in range(-5, 6) if i * i + j * j <= radius**2)
+    assert counts[0] == inside
+
+
+def test_ball_query_handles_empty_balls_and_far_queries():
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    queries = np.array([[0.5, 0.5], [50.0, -50.0], [-1e6, 3.0], [1.0, -0.5], [2.0, 0.0]])
+    counts, flat = _ball_query(points, queries, 0.6)
+    np.testing.assert_array_equal(counts, [0, 0, 0, 1, 0])
+    np.testing.assert_array_equal(flat, [1])
+    _assert_balls_match_kdtree(points, queries, 1.2)
+    counts, flat = _ball_query(points, queries[1:3], 1e-3)
+    assert counts.tolist() == [0, 0] and flat.size == 0
+    # a single point, and no queries at all
+    _assert_balls_match_kdtree(points[:1], queries, 1.0)
+    counts, flat = _ball_query(points, np.empty((0, 2)), 1.0)
+    assert counts.size == 0 and flat.size == 0
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["uniform", "jittered-lattice"]),
+    n=st.integers(1, 400),
+    n_queries=st.integers(1, 300),
+    scale=st.sampled_from([1e-3, 1.0, 50.0]),
+)
+def test_nearest_distance_is_bitwise_the_kdtree_distance(seed, kind, n, n_queries, scale):
+    points, rng = _point_sets(seed, kind, n, scale)
+    queries = np.concatenate([
+        1.2 * scale * rng.uniform(-1.0, 1.0, size=(n_queries, 2)),
+        points[: n_queries // 4],
+        [[40.0 * scale, -70.0 * scale]],
+    ])
+    np.testing.assert_array_equal(
+        _nearest_distance(points, queries), cKDTree(points).query(queries)[0]
+    )
+
+
+def test_nearest_distance_on_a_lattice_and_to_a_single_point():
+    lattice = np.stack(np.meshgrid(np.arange(9.0), np.arange(9.0)), -1).reshape(-1, 2)
+    queries = np.array([[0.5, 0.5], [4.0, 4.0], [-3.0, 12.0], [100.0, 100.0]])
+    np.testing.assert_array_equal(
+        _nearest_distance(lattice, queries), cKDTree(lattice).query(queries)[0]
+    )
+    origin = np.zeros((1, 2))
+    np.testing.assert_array_equal(
+        _nearest_distance(origin, queries), cKDTree(origin).query(queries)[0]
+    )
+    np.testing.assert_array_equal(_nearest_distance(origin, origin), [0.0])
+
+
+@pytest.mark.parametrize("budget, block", [(1, 1), (7, 3), (1 << 18, 4096)])
+def test_a_balls_order_does_not_depend_on_its_batch(monkeypatch, rng, budget, block):
+    # the order of a ball's indices is fixed by the points, the radius and
+    # the query; chunks of one query, or of many, do not move it
+    centers = generate_centers(circle(1.0), 0.05, seed=0).points
+    queries = rng.uniform(-1.0, 1.0, size=(60, 2))
+    counts, flat = _ball_query(centers, queries, 0.4)
+    monkeypatch.setattr(geometry, "_CANDIDATE_BUDGET", budget)
+    monkeypatch.setattr(geometry, "_QUERY_BLOCK", block)
+    for q in (0, 17, 59):
+        alone_counts, alone = _ball_query(centers, queries[q:q + 1], 0.4)
+        assert alone_counts[0] == counts[q]
+        np.testing.assert_array_equal(alone, _balls(counts, flat)[q])
+    batched_counts, batched = _ball_query(centers, queries[::-1], 0.4)
+    for a, b in zip(_balls(batched_counts, batched), _balls(counts, flat)[::-1]):
+        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
