@@ -156,7 +156,8 @@ class DomainCurve:
         ``origin[None]`` and row 0 for a single point.  Every origin's rays
         are halved until their own widest bracket is below ``tol`` (at most
         60 times), so a row's distances do not depend on the other origins
-        in the batch.
+        in the batch.  The level |q| - polar_radius(angle of q) takes |q| as
+        ``sqrt(qx*qx + qy*qy)``, formed in place in its buffers.
         """
         o = np.asarray(origin, dtype=float)
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
@@ -165,7 +166,13 @@ class DomainCurve:
         def level(o, s):
             qx = o[:, :1] + s * ca
             qy = o[:, 1:] + s * sa
-            return np.hypot(qx, qy) - self.polar_radius(np.arctan2(qy, qx))
+            rho = self.polar_radius(np.arctan2(qy, qx))
+            qx *= qx
+            qy *= qy
+            qx += qy
+            np.sqrt(qx, out=qx)
+            qx -= rho
+            return qx
 
         lo = np.zeros((o.shape[0], angles.size))
         hi = np.full_like(lo, 2.5 * self.max_radius())

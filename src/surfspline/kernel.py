@@ -38,7 +38,9 @@ that does not depend on a tile out of the tile body:
   once per call: each order's factor groups with their profiles, the
   direction cosines they need, and the distinct powers of r.  A tile's
   ``PairGeometry`` forms each of those powers once and shares it across every
-  order and group; each piece's sum starts from its first term.
+  order and group; each piece's sum starts from its first term.  It takes
+  r as ``sqrt(dx*dx + dy*dy)`` in place, and every power as a product of r
+  and one reciprocal 1/r, not through libm's scalar ``hypot`` and ``pow``.
 * ``phi_from_r2`` works in two buffers a tile loop allocates once: one
   takes r^2 and turns it into the values in place, the other takes log r^2.
   Only a tile that holds a zero distance pays for the mask of the
@@ -270,7 +272,8 @@ def phi_from_r2(params: SplineParams, r2, scratch=None) -> np.ndarray:
         r2 = np.array(r2, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_r2 = np.log(r2, out=scratch)
-        r2 **= params.m - 1
+        if params.m > 2:  # at m = 2 the power is 1, which changes no bit
+            r2 **= params.m - 1
         r2 *= 0.5 * fs_constant(params.m)
         r2 *= log_r2
     # log(r2) > -inf exactly where r2 > 0, so only a block that holds a zero
@@ -343,6 +346,28 @@ class PairPlan:
         self.powers = sorted({p for _, prof in groups for _, p, _ in prof.terms} - {0})
 
 
+def _powers(r: np.ndarray, ps) -> dict[int, np.ndarray]:
+    """``r**p`` for each nonzero integer p in ``ps``, by products alone.
+
+    Each power splits as r^p = r^q r^(p-q) with q = p/2 rounded towards
+    zero, down to r itself and one reciprocal 1/r, so no power goes through
+    libm's ``pow``; p = -1, 1 and 2 get the bits of ``r**p``.
+    """
+    pw = {1: r}
+    if any(p < 0 for p in ps):
+        pw[-1] = 1.0 / r
+    return {p: _power(pw, p) for p in ps}
+
+
+def _power(pw: dict, p: int) -> np.ndarray:
+    # a module function, not a closure: a recursive closure is a reference
+    # cycle that would keep a tile's powers alive until the cyclic collector
+    if p not in pw:
+        q = int(p / 2)
+        pw[p] = _power(pw, q) * _power(pw, p - q)
+    return pw[p]
+
+
 class PairGeometry:
     """Shared geometry of a block of (target ``x``, source ``alpha``) pairs.
 
@@ -360,7 +385,10 @@ class PairGeometry:
         x, alpha = _as_points(x), _as_points(alpha)
         dx = x[..., 0] - alpha[..., 0]
         dy = x[..., 1] - alpha[..., 1]
-        r = np.hypot(dx, dy)
+        # in place, into an array even for a single pair
+        r = np.multiply(dx, dx, out=np.empty(np.shape(dx)))
+        r += dy * dy
+        np.sqrt(r, out=r)
         if np.any(r <= SINGULAR_TOL):
             raise SingularEvaluationError("pair kernel evaluated at coincident points")
         tags = plan.tags
@@ -370,7 +398,7 @@ class PairGeometry:
             raise ValueError("odd source orders need the source normals n_alpha")
         self.plan = plan
         self.r = r
-        self.powers = {p: r**p for p in plan.powers}
+        self.powers = _powers(r, plan.powers)
         # each cosine in its formula's operation order, (a0 b0 + a1 b1) / r,
         # with the sum, sign and quotient taken in place
         fac = {"1": None}

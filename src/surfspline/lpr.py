@@ -32,7 +32,9 @@ A support is accepted only if its Vandermonde's condition number is within
 triangular factor settles that test for almost every row; only the few rows
 it leaves open take the singular values that decide their rank cut and
 condition number as ``lstsq`` would, so every decision and every weight is
-the one an SVD of every row gives.
+the one an SVD of every row gives.  R^-1 comes from a back substitution run
+over the whole batch at once, a row of R^-1 per step, since R is already
+triangular and a general inverse would factor it again.
 """
 
 from __future__ import annotations
@@ -86,6 +88,20 @@ _RESIDUAL_TOL = 1e-10
 _ENTRY_BUDGET = 1 << 20
 
 
+def _upper_inverse(r):
+    """Inverses of a batch of upper triangular (B, P, P) matrices with no
+    zero on their diagonals, by back substitution over the batch.  X = R^-1
+    is upper triangular with diagonal d = 1 / diag(R); from the last row up,
+    row i right of its diagonal is -d_i R[i, i+1:] X[i+1:, i+1:]."""
+    P = r.shape[-1]
+    x = np.zeros_like(r)
+    d = 1.0 / np.diagonal(r, axis1=1, axis2=2)
+    x[:, np.arange(P), np.arange(P)] = d
+    for i in reversed(range(P - 1)):
+        x[:, i, i + 1:] = (r[:, i, None, i + 1:] @ x[:, i + 1:, i + 1:])[:, 0] * -d[:, i, None]
+    return x
+
+
 def _min_norm_weights(pts, anchors, radius, exps, rhs, cond_cap):
     """Minimum-norm exactness weights for a batch of equal-size supports.
 
@@ -126,14 +142,14 @@ def _min_norm_weights(pts, anchors, radius, exps, rhs, cond_cap):
     eps = np.finfo(float).eps
     tol = eps * max(P, K)
     # R^-1 is formed in slices of at most _ENTRY_BUDGET / K entries, small
-    # next to V; a zero on R's diagonal would make its slice's inverse raise,
-    # so that row keeps beta = inf and goes to the SVD
+    # next to V; a zero on R's diagonal would divide by zero in the back
+    # substitution, so that row keeps beta = inf and goes to the SVD
     beta = np.full(len(r), np.inf)
     invertible = np.flatnonzero(np.all(np.diagonal(r, axis1=1, axis2=2), axis=1))
     step = max(1, _ENTRY_BUDGET // (P * P * K))
     for lo in range(0, invertible.size, step):
         rows = invertible[lo:lo + step]
-        r_inv = np.linalg.inv(r[rows])
+        r_inv = _upper_inverse(r[rows])
         beta[rows] = np.sqrt(np.einsum("bij,bij->b", r[rows], r[rows])
                              * np.einsum("bij,bij->b", r_inv, r_inv))
     well = (beta <= cond_cap * (1 - P * eps * cond_cap)) & (beta * tol <= 1e-3)

@@ -443,6 +443,23 @@ def test_ray_exit_batch_equals_single_origins(spec, tol, monkeypatch):
     assert len(steps) > 1
 
 
+@pytest.mark.parametrize("spec, a, b", [("circle:0.75", 0.75, 0.75), ("ellipse:1.5,1", 1.5, 1.0)])
+def test_ray_exit_matches_the_closed_form_conic_exit(spec, a, b):
+    # o + s e on x^2/a^2 + y^2/b^2 = 1 is the positive root of
+    # A s^2 + B s + C = 0 with C < 0 inside, taken without cancellation
+    curve = curve_from_spec(spec)
+    theta = 2 * np.pi * np.arange(96) / 96
+    origins = _origins_at_depths(curve)
+    ex, ey = np.cos(theta), np.sin(theta)
+    ox, oy = origins[:, :1], origins[:, 1:]
+    A = ex**2 / a**2 + ey**2 / b**2
+    B = 2 * (ox * ex / a**2 + oy * ey / b**2)
+    C = ox**2 / a**2 + oy**2 / b**2 - 1
+    root = np.sqrt(B**2 - 4 * A * C)
+    exact = np.where(B > 0, -2 * C / (B + root), (root - B) / (2 * A))
+    np.testing.assert_allclose(curve.ray_exit(origins, theta), exact, rtol=0, atol=1e-13)
+
+
 def test_ray_exit_rejects_a_batch_with_one_outside_origin():
     curve = curve_from_spec("star:0.15,5")
     origins = _origins_at_depths(curve)

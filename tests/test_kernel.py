@@ -1,6 +1,8 @@
 """Fundamental-solution values, derivative kernels, and their symmetries."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from surfspline.errors import DomainValidityError, SingularEvaluationError
 from surfspline.geometry import BoundaryGrid
 from surfspline.kernel import (
+    SINGULAR_TOL,
     TILE_ENTRIES,
     PairGeometry,
     PairPlan,
@@ -262,12 +265,25 @@ def test_pair_geometry_names_missing_normals(params2):
 # ---------------------------------------------------------------------------
 
 
+def _oracle_power(r, p):
+    """r**p as products of r and 1/r: r^q r^(p-q), with q = p/2 rounded
+    towards zero."""
+    if p in (1, -1):
+        return r if p == 1 else 1.0 / r
+    q = int(p / 2)
+    return _oracle_power(r, q) * _oracle_power(r, p - q)
+
+
+def _oracle_distance(dx):
+    return np.sqrt(dx[..., 0] * dx[..., 0] + dx[..., 1] * dx[..., 1])
+
+
 def _oracle_eval_split(prof, r):
     """Former profile evaluator: zero accumulators, and every power formed per term."""
     reg = np.zeros_like(r)
     logc = np.zeros_like(r)
     for c, p, e in prof.terms:
-        piece = c * r**p if p != 0 else np.full_like(r, c)
+        piece = c * _oracle_power(r, p) if p != 0 else np.full_like(r, c)
         if e:
             logc += piece
         else:
@@ -279,7 +295,7 @@ def _oracle_pair_split(params, k, j, x, n_x, alpha, n_alpha):
     """Former pair kernel: geometry, every cosine and every power recomputed
     per call, and zero accumulators."""
     dx = x - alpha
-    r = np.hypot(dx[..., 0], dx[..., 1])
+    r = _oracle_distance(dx)
     u = v = ndot = None
     if n_x is not None:
         u = (n_x[..., 0] * dx[..., 0] + n_x[..., 1] * dx[..., 1]) / r
@@ -319,8 +335,7 @@ def _oracle_boundary_kernel(params, j, x, alpha, n_alpha):
     """Former boundary kernel: a separate radial branch for even orders."""
     if j % 2:
         return _oracle_pair(params, 0, j, x, None, alpha, n_alpha)
-    dx = x - alpha
-    r = np.hypot(dx[..., 0], dx[..., 1])
+    r = _oracle_distance(x - alpha)
     reg, logc = _oracle_eval_split(iterated_laplacian_profile(params, j // 2), r)
     if np.all(logc == 0.0):
         return reg
@@ -364,6 +379,67 @@ def test_pair_kernel_bitwise_equals_per_call_oracle(m, target_normals):
             boundary_kernel(params, j, x, alpha, n_alpha),
             _oracle_boundary_kernel(params, j, x, alpha, n_alpha),
         ), j
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-6, 1e-2, 1.0, 1e3])
+def test_pair_distance_and_powers_from_products(scale):
+    # r = sqrt(dx*dx + dy*dy) is within an ulp of hypot; each power of r, a
+    # product of |p| factors r or 1/r, is within one rounding per factor and
+    # product of r**p; a single pair gets the bits of its entry in a block
+    rng = np.random.default_rng(int(-np.log10(scale)) + 10)
+    params = SplineParams(m=5)
+    plan = PairPlan(params, [(k, j) for k in range(10) for j in range(10)])
+    x = scale * rng.uniform(-1.0, 0.0, size=(64, 1, 2))
+    alpha = scale * rng.uniform(0.5, 1.5, size=(1, 96, 2))
+    n_x, n_alpha = _units(rng, (64, 1)), _units(rng, (1, 96))
+    geom = PairGeometry(plan, x, alpha, n_x, n_alpha)
+    d = x - alpha
+    hyp = np.hypot(d[..., 0], d[..., 1])
+    assert np.all(np.abs(geom.r - hyp) <= np.spacing(hyp))
+    assert sorted(geom.powers) == [-2, -1, 1, 2, 3, 4, 5, 6, 7, 8]
+    eps = np.finfo(float).eps
+    for p, rp in geom.powers.items():
+        ref = geom.r ** float(p)
+        assert np.all(np.abs(rp - ref) <= (abs(p) + 1) * eps * ref), p
+    for j in range(2 * params.m):
+        one = boundary_kernel(params, j, x[5, 0], alpha[0, 7], n_alpha[0, 7])
+        assert one == boundary_kernel(params, j, x, alpha, n_alpha)[5, 7], j
+
+
+def test_pair_geometry_frees_its_powers_without_the_cyclic_collector(params2):
+    # a tile loop replaces its geometry per tile: a reference cycle would
+    # keep every tile's powers of r alive until the cyclic collector ran
+    plan = PairPlan(params2, [(k, j) for k in range(4) for j in range(4)])
+    x = np.array([[[0.5, 0.5]]])
+    alpha = np.array([[[0.0, 0.0], [0.3, 0.1]]])
+    n = _units(np.random.default_rng(0), (1, 2))
+    gc.disable()
+    try:
+        geom = PairGeometry(plan, x, alpha, n[:, :1], n)
+        refs = [weakref.ref(a) for a in geom.powers.values()]
+        del geom
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "offset, singular",
+    [((0.0, 0.0), True), ((1e-14, 0.0), True), ((SINGULAR_TOL, 0.0), True),
+     ((0.6 * SINGULAR_TOL, -0.8 * SINGULAR_TOL), True),
+     ((2 * SINGULAR_TOL, 0.0), False), ((1.2 * SINGULAR_TOL, 1.6 * SINGULAR_TOL), False)],
+)
+def test_pair_geometry_refuses_pairs_within_singular_tol(params2, offset, singular):
+    # one pair of a block at distance |offset| from its source: at or below
+    # SINGULAR_TOL the whole block is refused
+    plan = PairPlan(params2, [(0, 0)])
+    alpha = np.array([[[0.0, 0.0], [0.3, 0.1], [-0.2, 0.4]]])
+    x = np.array([[0.5, 0.5], offset])[:, None, :]
+    if singular:
+        with pytest.raises(SingularEvaluationError):
+            PairGeometry(plan, x, alpha)
+    else:
+        assert PairGeometry(plan, x, alpha).r[1, 0] > SINGULAR_TOL
 
 
 def _radial_derivative(params, radii):

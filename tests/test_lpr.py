@@ -551,3 +551,72 @@ def test_reproduction_matrices_with_no_anchors(centers05):
         assert sparse.issparse(A) and A.format == "csr"
         assert A.shape == (0, len(X))
         assert stab.shape == radii.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# R^-1 for the Frobenius bound by a batched back substitution
+# ---------------------------------------------------------------------------
+
+
+def _triangular_factors(pts, anchors, radius, exps):
+    """R of each support's scaled Vandermonde V^T = Q R."""
+    z = (pts - anchors[:, None, :]) / radius
+    V = np.stack([z[..., 0] ** i * z[..., 1] ** k for (i, k) in exps], axis=1)
+    hh, _ = np.linalg.qr(np.swapaxes(V, 1, 2), mode="raw")
+    return np.triu(np.swapaxes(hh[..., :len(exps)], 1, 2))
+
+
+def test_upper_inverse_matches_inv(rng):
+    # well conditioned, the back substitution agrees with a general inverse
+    # to 1e-12; on supports squeezed up to the rank cut it stays within
+    # cond(R) eps of it, relative, in the Frobenius norm
+    eps = np.finfo(float).eps
+    for P in (1, 3, 6, 10, 15):
+        hh, _ = np.linalg.qr(rng.standard_normal((50, 40, P)), mode="raw")
+        r = np.triu(np.swapaxes(hh[..., :P], 1, 2))
+        x, ref = lpr._upper_inverse(r), np.linalg.inv(r)
+        assert np.all(np.tril(x, -1) == 0.0)
+        err = np.linalg.norm(x - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        assert err.max() < 1e-12, P
+    for order in range(1, 5):
+        exps = monomial_exponents(order)
+        for K in sorted({len(exps), 15, 30, 500}):
+            make, anchors = _squeezed(rng, 24, K, 0.3)
+            r = _triangular_factors(make(10.0 ** -rng.uniform(0, 16, 24)), anchors, 0.3, exps)
+            x, ref = lpr._upper_inverse(r), np.linalg.inv(r)
+            s = np.linalg.svd(r, compute_uv=False)
+            err = np.linalg.norm(x - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+            assert np.all(err <= s[:, 0] / s[:, -1] * eps), (order, K)
+
+
+def test_zero_diagonal_rows_skip_the_substitution_for_the_svd(rng, monkeypatch):
+    # a support on the anchor's horizontal line gives R exact zeros on its
+    # diagonal: the back substitution never sees it, the SVD decides it, and
+    # the rows around it are settled by the bound
+    exps = monomial_exponents(2)
+    pts = rng.uniform(-1.0, 1.0, size=(6, 20, 2))
+    anchors = rng.uniform(-0.2, 0.2, size=(6, 2))
+    singular = np.array([False, True, False, False, True, False])
+    pts[singular, :, 1] = anchors[singular, 1:]
+    substituted, svd_rows = [], []
+    upper_inverse, svd = lpr._upper_inverse, np.linalg.svd
+
+    def record_substitution(r):
+        substituted.append(r)
+        return upper_inverse(r)
+
+    def record_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv") is False:
+            svd_rows.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(lpr, "_upper_inverse", record_substitution)
+    monkeypatch.setattr(np.linalg, "svd", record_svd)
+    rhs = rng.standard_normal((6, len(exps)))
+    _, _, well = lpr._min_norm_weights(pts, anchors, 0.8, exps, rhs, COND_CAP_DEFAULT)
+    np.testing.assert_array_equal(well, ~singular)
+    r = np.concatenate(substituted)
+    assert len(r) == 4 and np.all(np.diagonal(r, axis1=1, axis2=2))
+    np.testing.assert_array_equal(
+        np.concatenate(svd_rows), _triangular_factors(pts, anchors, 0.8, exps)[singular]
+    )
