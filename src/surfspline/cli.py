@@ -80,9 +80,9 @@ def _cmd_solve_dirichlet(args) -> int:
     f = named_target(args.data, args.m)
     from .geometry import BoundaryGrid
 
+    probes = probe_points(curve, args.probe_grid, args.margin)
     grid = BoundaryGrid.build(curve, args.n)
     sol = solve_dirichlet(params, grid, f)
-    probes = probe_points(curve, args.probe_grid, args.margin)
     u = sol.evaluate(probes)
     fp = f(probes)
     rows = np.column_stack([probes, u, fp, np.abs(u - fp)])
@@ -99,6 +99,7 @@ def _cmd_solve_dirichlet(args) -> int:
 def _cmd_approximate(args) -> int:
     curve = curve_from_spec(args.curve)
     f = named_target(args.target, args.m)
+    probes = probe_points(curve, args.probe_grid, 0.0) if args.probe_grid else None
     centers = generate_centers(curve, args.h, seed=args.seed)
     if args.oversample is not None:
         centers = oversample_boundary(curve, centers, args.h, args.oversample, args.m)
@@ -108,8 +109,7 @@ def _cmd_approximate(args) -> int:
     if args.centers:
         _write_csv(args.centers, "x,y", centers.points)
         print(f"wrote centers to {args.centers}")
-    if args.probe_grid:
-        probes = probe_points(curve, args.probe_grid, 0.0)
+    if probes is not None:
         err = np.max(np.abs(eval_approximant(apx, probes) - f(probes)))
         print(f"max probe error: {err:.3e}")
     print(f"wrote {args.output}")

@@ -43,6 +43,9 @@ __all__ = [
     "principal_symbol_matrix",
 ]
 
+#: largest relative residual of the refined boundary solve
+_RESIDUAL_TOL = 1e-8
+
 
 def principal_symbol_matrix(m: int) -> np.ndarray:
     """Leading symbol of the m x m boundary operator block matrix, at unit
@@ -141,13 +144,7 @@ class DirichletSolution:
         return vals + poly @ self.poly_coeffs, est
 
 
-def solve_dirichlet(
-    params: SplineParams,
-    grid: BoundaryGrid,
-    data,
-    *,
-    residual_tol: float = 1e-8,
-) -> DirichletSolution:
+def solve_dirichlet(params: SplineParams, grid: BoundaryGrid, data) -> DirichletSolution:
     """Solve the Dirichlet problem with nodal data rows op_k f, k < m.
 
     ``data`` may be an (m, n) array of boundary values or a
@@ -155,8 +152,9 @@ def solve_dirichlet(
     its traces on the grid.  One LU factorization of the bordered system
     solves for the solution and for the inverse; the solution is polished
     with one round of iterative refinement through the inverse and rejected
-    if the relative residual stays above ``residual_tol``.  The reciprocal
-    condition number is the exact 1-norm one, 1 / (||A||_1 ||A^-1||_1).
+    if the relative residual stays above :data:`_RESIDUAL_TOL`.  The
+    reciprocal condition number is the exact 1-norm one,
+    1 / (||A||_1 ||A^-1||_1).
     """
     if isinstance(data, TargetFunction):
         data = data.boundary_data(grid)
@@ -178,9 +176,9 @@ def solve_dirichlet(
     z = z + A_inv @ (rhs - A @ z)
     scale = max(float(np.max(np.abs(rhs))), 1e-300)
     residual = float(np.max(np.abs(rhs - A @ z))) / scale
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise ResidualToleranceError(
-            f"boundary system residual {residual:.3e} exceeds {residual_tol:.1e}"
+            f"boundary system residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}"
         )
     rcond = 1.0 / (np.linalg.norm(A, 1) * np.linalg.norm(A_inv, 1))
     return DirichletSolution(

@@ -67,6 +67,9 @@ _CANDIDATE_BUDGET = 1 << 16
 #: queries whose cell ranges are laid out at once
 _QUERY_BLOCK = 4096
 
+#: width below which a ray's bisection bracket stops halving
+_RAY_TOL = 1e-14
+
 
 class DomainCurve:
     """Closed analytic boundary curve, star-shaped about the origin.
@@ -145,7 +148,7 @@ class DomainCurve:
         psi = np.arctan2(p[..., 1], p[..., 0])
         return rr < self.polar_radius(psi)
 
-    def ray_exit(self, origin, angles, tol: float = 1e-14) -> np.ndarray:
+    def ray_exit(self, origin, angles) -> np.ndarray:
         """Distance along rays from interior points to the boundary.
 
         Solves |origin + s e(theta)| = polar_radius(angle of that point) by
@@ -154,10 +157,10 @@ class DomainCurve:
         the origin is not too close to the boundary).  ``origin`` is an
         ``(n, 2)`` array of points and the result is ``(n, n_angles)``; take
         ``origin[None]`` and row 0 for a single point.  Every origin's rays
-        are halved until their own widest bracket is below ``tol`` (at most
-        60 times), so a row's distances do not depend on the other origins
-        in the batch.  The level |q| - polar_radius(angle of q) takes |q| as
-        ``sqrt(qx*qx + qy*qy)``, formed in place in its buffers.
+        are halved until their own widest bracket is below :data:`_RAY_TOL`
+        (at most 60 times), so a row's distances do not depend on the other
+        origins in the batch.  The level |q| - polar_radius(angle of q) takes
+        |q| as ``sqrt(qx*qx + qy*qy)``, formed in place in its buffers.
         """
         o = np.asarray(origin, dtype=float)
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
@@ -187,7 +190,7 @@ class DomainCurve:
             take = level(o, mid) < 0
             lo = np.where(take, mid, lo)
             hi = np.where(take, hi, mid)
-            done = np.max(hi - lo, axis=1) < tol
+            done = np.max(hi - lo, axis=1) < _RAY_TOL
             if np.any(done):
                 out[rows[done]] = 0.5 * (lo[done] + hi[done])
                 rows, o, lo, hi = (a[~done] for a in (rows, o, lo, hi))

@@ -129,7 +129,7 @@ class ExperimentConfig:
                 kw["oversample"] = float(raw)
         config = cls(**kw)
         if "inf" in config.norms:
-            _sup_norm_probes(config, curve_from_spec(config.curve))
+            probe_points(curve_from_spec(config.curve), config.probe_grid, 0.0)
         return config
 
     def resolved_nu(self) -> float | None:
@@ -196,13 +196,6 @@ class ErrorReport:
         return main, rates
 
 
-def _sup_norm_probes(config: ExperimentConfig, curve) -> np.ndarray:
-    probes = probe_points(curve, config.probe_grid, 0.0)
-    if len(probes) == 0:
-        raise ValueError(f"probe_grid = {config.probe_grid} holds no point inside the domain")
-    return probes
-
-
 def _norm_errors(norms, probe_err, quad, quad_err):
     out = {}
     for p in norms:
@@ -237,7 +230,7 @@ def converge(config: ExperimentConfig, *, verbose: bool = False) -> ErrorReport:
 
     probes = fp = quad = fq = None
     if "inf" in config.norms:
-        probes = _sup_norm_probes(config, curve)
+        probes = probe_points(curve, config.probe_grid, 0.0)
         fp = f(probes)
     if {"1", "2"} & set(config.norms):
         quad = interior_quadrature(curve, config.quad_level)

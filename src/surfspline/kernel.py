@@ -185,24 +185,19 @@ class RadialTerms:
             return 0
         return min(p for _, p, _ in self.terms)
 
-    def eval_split(
-        self, r: np.ndarray, powers=None
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    def eval_split(self, r: np.ndarray, powers) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Return ``(reg, logc)`` with value = reg + logc * log(r).
 
         Both pieces are smooth in ``r^2`` for the boundary-restricted kernels,
         which is what the singularity-splitting quadrature relies on.  Each
         piece sums its terms in order, starting from the first; a piece with
         no term is None.  ``powers`` maps each nonzero power p of the terms
-        to ``r**p``, when a block's profiles share them.
+        to ``r**p``, which a block's profiles share.
         """
         r = np.asarray(r, dtype=float)
         pieces = [None, None]
         for c, p, e in self.terms:
-            if p == 0:
-                term = np.full_like(r, c)
-            else:
-                term = c * (r**p if powers is None else powers[p])
+            term = np.full_like(r, c) if p == 0 else c * powers[p]
             if pieces[e] is None:
                 pieces[e] = term
             else:
@@ -283,18 +278,17 @@ def phi_from_r2(params: SplineParams, r2, scratch=None) -> np.ndarray:
     return r2
 
 
-def tiles(n_rows: int, n_sources: int, entries: int | None = None):
+def tiles(n_rows: int, n_sources: int):
     """Row ranges ``(lo, hi)`` of the tiles of a bulk kernel sum.
 
-    A tile holds about ``entries`` (default :data:`TILE_ENTRIES`) kernel
-    values: its step is that budget over ``n_sources``, rounded down to a
+    A tile holds about :data:`TILE_ENTRIES` kernel values, read at call
+    time: its step is that budget over ``n_sources``, rounded down to a
     multiple of 8 and at least 8 rows, and the remainder joins the last full
     tile.  BLAS mat-vecs give a call's trailing rows their own bits, so
     steps of 8 and a single ragged tail keep every row's value independent
     of the tiling, and equal to a single call's.
     """
-    budget = TILE_ENTRIES if entries is None else entries
-    step = max(8, budget // max(n_sources, 1) // 8 * 8)
+    step = max(8, TILE_ENTRIES // max(n_sources, 1) // 8 * 8)
     n_tiles = max(1, n_rows // step) if n_rows > 0 else 0
     for t in range(n_tiles):
         yield t * step, n_rows if t == n_tiles - 1 else (t + 1) * step

@@ -144,12 +144,12 @@ def nystrom_matrix(params: SplineParams, k: int, j: int, grid: BoundaryGrid) -> 
 # ---------------------------------------------------------------------------
 
 
-def _needed_factor(n: int, dist_param: np.ndarray, max_nodes: int):
+def _needed_factor(n: int, dist_param: np.ndarray):
     """Power-of-two upsampling factors so that n_f * dist >= _MIN_RESOLVE."""
     with np.errstate(divide="ignore"):
         need = _MIN_RESOLVE / (n * np.maximum(dist_param, 1e-300))
     factors = 2.0 ** np.ceil(np.log2(np.maximum(need, 1.0)))
-    factors = np.minimum(factors, max(1, max_nodes // n))
+    factors = np.minimum(factors, max(1, _MAX_NODES // n))
     return factors.astype(int)
 
 
@@ -172,25 +172,20 @@ def _potential_sum(params, j, grid, density, x_pts):
 
 
 def layer_potential(
-    params: SplineParams,
-    j: int,
-    grid: BoundaryGrid,
-    density: np.ndarray,
-    points,
-    *,
-    max_nodes: int = _MAX_NODES,
+    params: SplineParams, j: int, grid: BoundaryGrid, density: np.ndarray, points
 ) -> np.ndarray:
     """Evaluate V_j density at off-boundary points, an ``(n, 2)`` array.
 
     The density is trigonometrically upsampled per point group until the
-    quadrature resolves the distance to the boundary; points closer than the
+    quadrature resolves the distance to the boundary, onto at most
+    :data:`_MAX_NODES` nodes (read at call time); points closer than the
     finest resolvable distance trigger :class:`NearBoundaryAccuracyWarning`.
     """
     pts = np.asarray(points, dtype=float)
     rho = signed_distance(grid.curve, pts)
     speed_max = float(np.max(grid.speed))
     dist_param = np.abs(rho) / speed_max
-    factors = _needed_factor(grid.n, dist_param, max_nodes)
+    factors = _needed_factor(grid.n, dist_param)
     if np.any(grid.n * factors * dist_param < 0.5 * _MIN_RESOLVE):
         warnings.warn(
             "layer potential evaluated closer to the boundary than the "

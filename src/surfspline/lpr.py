@@ -28,13 +28,14 @@ depend only on its own support, never on which other anchors share its
 batch.
 
 A support is accepted only if its Vandermonde's condition number is within
-``cond_cap``.  The Frobenius bound cond(R) <= ||R||_F ||R^-1||_F of the
-triangular factor settles that test for almost every row; only the few rows
-it leaves open take the singular values that decide their rank cut and
-condition number as ``lstsq`` would, so every decision and every weight is
-the one an SVD of every row gives.  R^-1 comes from a back substitution run
-over the whole batch at once, a row of R^-1 per step, since R is already
-triangular and a general inverse would factor it again.
+:data:`COND_CAP_DEFAULT`, which is read at call time.  The Frobenius bound
+cond(R) <= ||R||_F ||R^-1||_F of the triangular factor settles that test
+for almost every row; only the few rows it leaves open take the singular
+values that decide their rank cut and condition number as ``lstsq`` would,
+so every decision and every weight is the one an SVD of every row gives.
+R^-1 comes from a back substitution run over the whole batch at once, a row
+of R^-1 per step, since R is already triangular and a general inverse would
+factor it again.
 """
 
 from __future__ import annotations
@@ -189,7 +190,6 @@ def _reproduce(
     order: int,
     *,
     gamma: float,
-    cond_cap: float = COND_CAP_DEFAULT,
     max_radius: float | None = None,
 ):
     """Order-``order`` reproductions of op_j at every anchor.
@@ -256,7 +256,7 @@ def _reproduce(
                     rhs = normals[ids, :1] * op_rows[0] + normals[ids, 1:] * op_rows[1]
                 w, resid, well = _min_norm_weights(
                     centers[idx], anchors[ids], radius, exps,
-                    np.broadcast_to(rhs * radius ** (-j), (ids.size, P)), cond_cap,
+                    np.broadcast_to(rhs * radius ** (-j), (ids.size, P)), COND_CAP_DEFAULT,
                 )
                 mass = np.sum(np.abs(w), axis=1)
                 exact = resid < _RESIDUAL_TOL
@@ -305,18 +305,18 @@ def _reproduce(
 
 
 def interior_reproduction_matrix(
-    anchors, centers, h: float, M: int, **kwargs
+    anchors, centers, h: float, M: int, *, max_radius: float | None = None
 ) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
     """Stack interior reproductions at many anchors into a sparse matrix.
 
     Returns ``(A, stabilities, radii)`` with ``A[q, xi] = a(anchor_q, xi)``;
     the rows of A turn center-value vectors into anchor values of any
     polynomial in Pi_M exactly.  Zero anchors give a (0, n_centers) matrix.
-    Keywords ``gamma``, ``cond_cap`` and ``max_radius`` pass to the solver.
+    Balls start at radius ``GAMMA_DEFAULT * M^2 * h`` and grow at most to
+    ``max_radius``.
     """
     anchors = np.asarray(anchors, dtype=float).reshape(-1, 2)
-    kwargs.setdefault("gamma", GAMMA_DEFAULT)
-    return _reproduce(0, anchors, None, centers, h, M, **kwargs)
+    return _reproduce(0, anchors, None, centers, h, M, gamma=GAMMA_DEFAULT, max_radius=max_radius)
 
 
 def boundary_reproduction_matrix(

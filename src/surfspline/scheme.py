@@ -52,6 +52,15 @@ __all__ = [
     "boundary_support_is_local",
 ]
 
+#: fewest radial nodes of the extension's volume term
+_EXTENSION_LEVEL_FLOOR = 24
+
+#: boundary points at which extension_continuity compares the two limits
+_CONTINUITY_PROBES = 12
+
+#: bounding-box grid of the interior probes of error_kernel_norms
+_KERNEL_PROBE_GRID = 48
+
 
 def _tile_buffers(bounds, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
     """The two scratch arrays of :func:`_phi_matrix` for the largest of the
@@ -105,6 +114,23 @@ class InteriorQuadrature:
         return self.nodes.shape[0]
 
 
+def _ray_rule(level: int, n_theta: int):
+    """The radial factor of a polar rule with ``n_theta`` rays: a function
+    taking ray lengths R (with a trailing axis of one) to the nodes s = R u
+    and the weights (2 pi / n_theta) (R wu) s of the area element s ds
+    dtheta, for the ``level`` Gauss-Legendre nodes u and weights wu on [0, 1].
+    """
+    u, wu = np.polynomial.legendre.leggauss(level)
+    u = 0.5 * (u + 1.0)
+    wu = 0.5 * wu
+
+    def nodes_and_weights(rays):
+        s = rays * u
+        return s, (2 * np.pi / n_theta) * (rays * wu) * s
+
+    return nodes_and_weights
+
+
 def _check_star_shaped(curve: DomainCurve) -> None:
     t = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
     g = curve.point(t)
@@ -131,13 +157,7 @@ def interior_quadrature(curve: DomainCurve, level: int) -> InteriorQuadrature:
     n_theta = int(np.ceil(curve.arclength() * level / curve.max_radius() / 2)) * 2
     n_theta = max(n_theta, 16)
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
-    rad = curve.polar_radius(theta)
-    u, wu = np.polynomial.legendre.leggauss(level)
-    u = 0.5 * (u + 1.0)
-    wu = 0.5 * wu
-    # nodes r = R(theta) u, area element r dr dtheta
-    r = rad[:, None] * u[None, :]
-    w = (2 * np.pi / n_theta) * (rad[:, None] * wu[None, :]) * r
+    r, w = _ray_rule(level, n_theta)(curve.polar_radius(theta)[:, None])
     nodes = np.stack(
         [r * np.cos(theta)[:, None], r * np.sin(theta)[:, None]], axis=-1
     ).reshape(-1, 2)
@@ -170,9 +190,7 @@ def volume_potential(
     pts = np.asarray(points, dtype=float)
     n_theta = max(64, 4 * level)
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
-    u, wu = np.polynomial.legendre.leggauss(level)
-    u = 0.5 * (u + 1.0)
-    wu = 0.5 * wu
+    rule = _ray_rule(level, n_theta)
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     n = pts.shape[0]
     s_exit = np.empty((n, n_theta))
@@ -182,9 +200,7 @@ def volume_potential(
     bounds = list(tiles(n, n_theta * level))
     buf = _tile_buffers(bounds, n_theta * level)
     for lo, hi in bounds:
-        rays = s_exit[lo:hi, :, None]
-        s = rays * u  # (tile, n_theta, level)
-        w = (2 * np.pi / n_theta) * (rays * wu) * s
+        s, w = rule(s_exit[lo:hi, :, None])  # (tile, n_theta, level)
         alpha = pts[lo:hi, None, None, :] + s[..., None] * dirs[:, None, :]
         dens = np.asarray(density_fn(alpha.reshape(-1, 2))).reshape(s.shape)
         s2, log_s2 = (b[: s.size].reshape(s.shape) for b in buf)
@@ -252,6 +268,11 @@ class SchemeGrids:
     boundary_nodes: BoundaryGrid
 
 
+def _quadrature_level(curve: DomainCurve, h: float) -> int:
+    """Radial nodes of the interior rule at fill distance h: spacing ~ h/2."""
+    return max(16, int(np.ceil(curve.diameter() / h)))
+
+
 def scheme_grids(
     curve: DomainCurve,
     h: float,
@@ -265,7 +286,6 @@ def scheme_grids(
     resolves half the boundary-zone spacing (h, or h^nu when oversampling),
     and never falls below the solver grid.
     """
-    level = max(16, int(np.ceil(curve.diameter() / h)))
     h_local = h if nu is None else h**nu
     n_nodes = max(n_solver, int(np.ceil(curve.arclength() / (0.5 * h_local))))
     n_nodes += n_nodes % 2
@@ -274,7 +294,7 @@ def scheme_grids(
     return SchemeGrids(
         curve=curve,
         boundary=boundary,
-        quadrature=interior_quadrature(curve, level),
+        quadrature=interior_quadrature(curve, _quadrature_level(curve, h)),
         boundary_nodes=nodes,
     )
 
@@ -313,23 +333,48 @@ class Approximant:
                 fh.write(f"center,{float(x)!r},{float(y)!r},{float(a)!r}\n")
 
 
-def eval_approximant(apx: Approximant, points, chunk_entries: int | None = None):
+def eval_approximant(apx: Approximant, points):
     """Evaluate the kernel expansion at the ``(n, 2)`` array ``points``.
 
     The kernel sum runs over :func:`~surfspline.kernel.tiles` of the points
-    against the centers, with ``chunk_entries`` as the tile budget (default
-    :data:`~surfspline.kernel.TILE_ENTRIES`); a point's value does not
-    depend on the budget.
+    against the centers; a point's value does not depend on the tile budget
+    :data:`~surfspline.kernel.TILE_ENTRIES`.
     """
     pts = np.asarray(points, dtype=float)
     out = apx.poly_eval(pts)
     if apx.centers.shape[0]:
-        bounds = list(tiles(pts.shape[0], apx.centers.shape[0], chunk_entries))
+        bounds = list(tiles(pts.shape[0], apx.centers.shape[0]))
         buf = _tile_buffers(bounds, apx.centers.shape[0])
         for lo, hi in bounds:
             ker = _phi_matrix(apx.params, pts[lo:hi], apx.centers, buf)
             out[lo:hi] += ker @ apx.coefficients
     return out
+
+
+def _reproductions(nodes, grid: BoundaryGrid, centers: CenterSet, m: int, M: int):
+    """The interior reproductions at ``nodes`` and the order-j boundary ones,
+    j < m, at ``grid``, all of order M and none wider than 1.5 diameters of
+    its curve.
+    Boundary balls scale with the boundary spacing h^nu of an oversampled
+    set and ``GAMMA_DEFAULT``, else with h and ``GAMMA_BOUNDARY_DEFAULT``."""
+    X, h = centers.points, centers.target_h
+    oversampled = centers.boundary_spacing is not None
+    h_local = centers.boundary_spacing if oversampled else h
+    # the refined boundary zone is only ~2m layers of h_local deep, so the
+    # half-neighborhood argument for the larger prefactor does not apply
+    # there: a nominal ball matching the zone thickness stays well
+    # conditioned, while a 2x one degenerates into a thin slab and
+    # triggers locality-destroying growth
+    gamma_boundary = GAMMA_DEFAULT if oversampled else GAMMA_BOUNDARY_DEFAULT
+    max_radius = 1.5 * grid.curve.diameter()
+    interior = interior_reproduction_matrix(nodes, X, h, M, max_radius=max_radius)
+    return interior, [
+        boundary_reproduction_matrix(
+            j, grid.points, grid.normals, X, h_local, M,
+            gamma=gamma_boundary, max_radius=max_radius,
+        )
+        for j in range(m)
+    ]
 
 
 def assemble_TXi(
@@ -342,49 +387,27 @@ def assemble_TXi(
 
     Interior: A_xi += sum_q w_q a(alpha_q, xi) Delta^m f(alpha_q) over the
     interior rule.  Boundary: A_xi += sum_j sum_i w_i a_j(x_i, xi) N_j f(x_i)
-    over the boundary coefficient grid, with reproductions at the boundary
-    spacing ``centers.boundary_spacing`` (h^nu) of an oversampled set and at
-    h otherwise.  The polynomial part is the one the Dirichlet solve
+    over the boundary coefficient grid, with the reproductions of
+    :func:`_reproductions`.  The polynomial part is the one the Dirichlet solve
     produces, so the operator is linear in f.  ``traces`` are the trace maps
     of ``grids.boundary`` that :func:`~surfspline.dirichlet.compute_Nj`
     applies; they are built there when not given.
     """
     params = SplineParams(m=f.m, d=2)
-    m = params.m
-    M = 2 * m
-    X = centers.points
-    h = centers.target_h
-    oversampled = centers.boundary_spacing is not None
-    h_local = centers.boundary_spacing if oversampled else h
-    # the refined boundary zone is only ~2m layers of h_local deep, so the
-    # half-neighborhood argument for the larger prefactor does not apply
-    # there: a nominal ball matching the zone thickness stays well
-    # conditioned, while a 2x one degenerates into a thin slab and
-    # triggers locality-destroying growth
-    gamma_boundary = GAMMA_DEFAULT if oversampled else GAMMA_BOUNDARY_DEFAULT
-    max_radius = 1.5 * grids.curve.diameter()
-
-    quad = grids.quadrature
-    A_int, stab_i, _ = interior_reproduction_matrix(
-        quad.nodes, X, h, M, gamma=GAMMA_DEFAULT, max_radius=max_radius
-    )
+    quad, bn = grids.quadrature, grids.boundary_nodes
+    (A_int, stab_i, _), boundary = _reproductions(quad.nodes, bn, centers, params.m, 2 * params.m)
     lap = np.asarray(f.m_laplacian(quad.nodes))
     coeffs = A_int.T @ (quad.weights * lap)
 
     nj_rows, solution = compute_Nj(params, grids.boundary, f, traces)
-    bn = grids.boundary_nodes
     stab_b = {}
-    for j in range(m):
-        B_j, s_j, _ = boundary_reproduction_matrix(
-            j, bn.points, bn.normals, X, h_local, M,
-            gamma=gamma_boundary, max_radius=max_radius,
-        )
+    for j, (B_j, s_j, _) in enumerate(boundary):
         stab_b[j] = float(np.max(s_j))
         coeffs += B_j.T @ (bn.weights * trig_upsample(nj_rows[j], bn.n))
 
     return Approximant(
         params=params,
-        centers=X,
+        centers=centers.points,
         coefficients=np.asarray(coeffs).ravel(),
         basis=solution.basis,
         poly_coeffs=solution.poly_coeffs,
@@ -412,21 +435,15 @@ class ExtensionField:
     coordinates about the evaluation point.  Outside, it is evaluated through
     the full-trace boundary identity alone: there the volume potential of
     Delta^m f equals minus the alternating sum of layer potentials of the 2m
-    traces of f, so only boundary integrals remain, at any distance.
+    traces of f, so only boundary integrals remain, at any distance.  Its
+    radial rule has the grids' ``level``, at least :data:`_EXTENSION_LEVEL_FLOOR`.
     """
 
-    def __init__(
-        self,
-        params: SplineParams,
-        grids: SchemeGrids,
-        f: TargetFunction,
-        *,
-        level: int | None = None,
-    ):
+    def __init__(self, params: SplineParams, grids: SchemeGrids, f: TargetFunction):
         self.params = params
         self.grids = grids
         self.f = f
-        self.level = int(level) if level is not None else max(24, grids.quadrature.level)
+        self.level = max(_EXTENSION_LEVEL_FLOOR, grids.quadrature.level)
         self.nj_rows, self.solution = compute_Nj(params, grids.boundary, f)
         g = grids.boundary
         self.traces = np.stack(
@@ -461,27 +478,24 @@ class ExtensionField:
         return self.convolution_part(pts) + self.solution.poly_eval(pts)
 
 
-def extension_continuity(
-    ext: ExtensionField,
-    *,
-    n_probes: int = 12,
-) -> float:
+def extension_continuity(ext: ExtensionField) -> float:
     """Largest mismatch between inside and outside limits along normals.
 
-    Both one-sided limits are taken by polynomial extrapolation of the field
-    along a geometric ladder of normal offsets; the extension is continuous,
-    so the mismatch measures the combined evaluation error of the two paths.
-    Each side is one evaluation over all offsets and probes.
+    Both one-sided limits at :data:`_CONTINUITY_PROBES` boundary points are
+    taken by polynomial extrapolation of the field along a geometric ladder
+    of normal offsets; the extension is continuous, so the mismatch measures
+    the combined evaluation error of the two paths.  Each side is one
+    evaluation over all offsets and probes.
     """
     curve = ext.grids.curve
-    t = 2 * np.pi * np.arange(n_probes) / n_probes + 0.391
+    t = 2 * np.pi * np.arange(_CONTINUITY_PROBES) / _CONTINUITY_PROBES + 0.391
     base = curve.point(t)
     nrm = curve.normal(t)
     deltas = 0.02 * curve.diameter() / 2.0 ** np.arange(5)
     limits = []
     for sgn in (-1.0, 1.0):
-        pts = base + (sgn * deltas)[:, None, None] * nrm  # (rungs, n_probes, 2)
-        vals = ext.evaluate(pts.reshape(-1, 2)).reshape(deltas.size, n_probes)
+        pts = base + (sgn * deltas)[:, None, None] * nrm  # (rungs, probes, 2)
+        vals = ext.evaluate(pts.reshape(-1, 2)).reshape(deltas.size, t.size)
         limits.append(_neville_limit(deltas, vals)[0])
     return float(np.max(np.abs(limits[0] - limits[1])))
 
@@ -518,7 +532,6 @@ def error_kernel_norms(
     centers: CenterSet,
     *,
     M: int | None = None,
-    probe_grid: int = 48,
 ) -> dict:
     """Operator norms of the kernel-replacement errors.
 
@@ -526,8 +539,11 @@ def error_kernel_norms(
     |phi(x-a) - sum_xi a(a,xi) phi(x-xi)|, the L_inf -> L_inf norm of the
     interior error kernel.  ``boundary[j]`` for j = 0 .. m-1: same with the
     order-j boundary kernel and boundary reproduction, integrated over the
-    boundary.  Their decay exponents in h are the raw ingredients of the
-    convergence rates, but they hold only on rungs that
+    boundary.  The reproductions follow the rule of :func:`assemble_TXi`
+    (:func:`_reproductions`) at order ``M`` (default 2m); the probes are a
+    :data:`_KERNEL_PROBE_GRID` interior grid and inward offsets of the
+    boundary nodes.  Their decay exponents in h are the raw ingredients of
+    the convergence rates, but they hold only on rungs that
     ``boundary_support_is_local`` reports local: once a reproduction ball
     spans the domain, the errors no longer decay like (1 + dist/h)^-(d+1) and
     a slope fitted through such a rung is bent by it.
@@ -536,7 +552,6 @@ def error_kernel_norms(
         M = 2 * params.m
     X = centers.points
     h = centers.target_h
-    max_radius = 1.5 * curve.diameter()
 
     n_b = int(np.ceil(curve.arclength() / (0.5 * h))) // 2 * 2
     n_b = max(64, n_b)
@@ -550,19 +565,10 @@ def error_kernel_norms(
     depths = h * np.array([0.25, 0.5, 1.0, 2.0, 4.0])
     depths = depths[depths < 0.45 * curve.reach_estimate()]
     near = [bg.points - t * bg.normals for t in depths]
-    probes = np.concatenate([probe_points(curve, probe_grid, 0.02)] + near)
+    probes = np.concatenate([probe_points(curve, _KERNEL_PROBE_GRID, 0.02)] + near)
 
-    quad = interior_quadrature(curve, max(16, int(np.ceil(curve.diameter() / h))))
-    A, _, _ = interior_reproduction_matrix(
-        quad.nodes, X, h, M, gamma=GAMMA_DEFAULT, max_radius=max_radius
-    )
-    Bs = [
-        boundary_reproduction_matrix(
-            j, bg.points, bg.normals, X, h, M,
-            gamma=GAMMA_BOUNDARY_DEFAULT, max_radius=max_radius,
-        )[0]
-        for j in range(params.m)
-    ]
+    quad = interior_quadrature(curve, _quadrature_level(curve, h))
+    (A, _, _), Bs = _reproductions(quad.nodes, bg, centers, params.m, M)
     # every block runs over tiles of the probes: the centers' kernel columns
     # phi_XP, the interior sums against them over tiles of the quadrature,
     # and the boundary kernels (probes x boundary nodes).  The rows of A, and
@@ -584,7 +590,7 @@ def error_kernel_norms(
             exact = _phi_matrix(params, quad.nodes[qlo:qhi], P, buf)
             exact -= A_rows @ phi_XP
             interior[lo:hi] += quad.weights[qlo:qhi] @ np.abs(exact, out=exact)
-        for j, B in enumerate(Bs):
+        for j, (B, _, _) in enumerate(Bs):
             exact = boundary_kernel(
                 params, j, P[:, None, :], bg.points[None, :, :], bg.normals[None, :, :]
             )  # (tile, n_b)
@@ -613,7 +619,8 @@ def boundary_support_is_local(curve: DomainCurve, h: float, M: int) -> bool:
 
 def probe_points(curve: DomainCurve, grid: int, margin: float) -> np.ndarray:
     """Uniform bounding-box grid clipped to the interior with a safety
-    margin off the boundary (in absolute distance units)."""
+    margin off the boundary (in absolute distance units); raises ValueError
+    when the grid holds no point there."""
     R = curve.max_radius()
     s = np.linspace(-R, R, grid)
     xx, yy = np.meshgrid(s, s, indexing="ij")
@@ -621,4 +628,6 @@ def probe_points(curve: DomainCurve, grid: int, margin: float) -> np.ndarray:
     rr = np.hypot(pts[:, 0], pts[:, 1])
     psi = np.arctan2(pts[:, 1], pts[:, 0])
     keep = rr < curve.polar_radius(psi) - margin
+    if not keep.any():
+        raise ValueError(f"probe_grid = {grid} holds no point inside the domain")
     return pts[keep]

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from surfspline import scheme
 from surfspline.dirichlet import principal_symbol_matrix, solve_dirichlet
 from surfspline.geometry import BoundaryGrid, circle, generate_centers
 from surfspline.harness import ExperimentConfig, converge
@@ -71,7 +72,9 @@ def rate_reports():
 @pytest.fixture(scope="module")
 def expx_extension():
     grids = scheme_grids(DISK, 0.1, n_solver=256)
-    return ExtensionField(PARAMS, grids, named_target("expx", 2), level=32)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheme, "_EXTENSION_LEVEL_FLOOR", 32)
+        return ExtensionField(PARAMS, grids, named_target("expx", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +144,15 @@ def test_criterion_03_jump_relations_all_orders():
         assert errs[256][j] < errs[128][j], f"no refinement gain for slot {j}"
 
 
-def test_criterion_04_multilayer_representation_of_smooth_targets():
+def test_criterion_04_multilayer_representation_of_smooth_targets(monkeypatch):
+    monkeypatch.setattr(scheme, "_EXTENSION_LEVEL_FLOOR", 32)
     rng = np.random.default_rng(7)
     pts = interior_points(DISK, 60, rng, margin=0.05)
     grids = scheme_grids(DISK, 0.1, n_solver=256)
     worst, fields = {}, {}
     for name in ("expx", "gauss", "wave"):
         f = named_target(name, 2)
-        fields[name] = ExtensionField(PARAMS, grids, f, level=32)
+        fields[name] = ExtensionField(PARAMS, grids, f)
         worst[name] = float(np.max(np.abs(fields[name].evaluate(pts) - f(pts))))
     ann = annihilation_check(fields["expx"])
     _report(

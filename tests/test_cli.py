@@ -151,6 +151,23 @@ def test_bad_arguments_exit_2_without_output(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approximate", "--h", "0.3", "--probe-grid", "1"],
+        ["solve-dirichlet", "--n", "32", "--probe-grid", "1"],
+        ["solve-dirichlet", "--n", "32", "--probe-grid", "2"],
+    ],
+)
+def test_empty_probe_grid_exits_2_before_any_csv(tmp_path, capsys, argv):
+    # a probe grid with no point inside the domain is refused before the
+    # command writes anything
+    assert main([*argv, "--output", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: probe_grid = {argv[-1]} holds no point inside the domain")
+    assert not list(tmp_path.iterdir())
+
+
 def test_extend_requires_points_or_ray(capsys):
     assert main(["extend"]) == 2
     assert "provide --points or --ray" in capsys.readouterr().err

@@ -78,14 +78,13 @@ def test_boundary_trace_matches_data(grid256):
     )
 
 
-def test_solver_residual_and_condition_reported(grid256):
+def test_solver_residual_and_condition_reported(grid256, monkeypatch):
     _, _, sol = _solve(grid256, "wave")
     assert sol.residual < 1e-10
     assert 0 < sol.rcond < 1
+    monkeypatch.setattr(dirichlet, "_RESIDUAL_TOL", 0.0)
     with pytest.raises(ResidualToleranceError):
-        solve_dirichlet(
-            sol.params, grid256, named_target("wave", 2), residual_tol=0.0
-        )
+        solve_dirichlet(sol.params, grid256, named_target("wave", 2))
 
 
 def _bordered_system(grid, name):

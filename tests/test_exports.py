@@ -40,6 +40,50 @@ def test_benchmark_wrapped_names_resolve():
         assert callable(holder), f"{module_name}.{attr} is not callable"
 
 
+def test_benchmark_collectors_read_their_arguments():
+    # the benchmark's collectors bind the wrapped functions' arguments by
+    # name, and read gamma from the boundary reproductions' keywords; a
+    # signature change that breaks one fails here, not only in a traced run
+    import numpy as np
+
+    from perfbench import layers, workloads
+    from perfbench.tracer import Tracer
+    from surfspline import harness, scheme
+    from surfspline.geometry import circle
+    from surfspline.kernel import SplineParams
+
+    def bindings():
+        held = {
+            (name, attr): value
+            for name, mod in list(sys.modules.items())
+            if name == "surfspline" or name.startswith("surfspline.")
+            for attr, value in list(vars(mod).items())
+        }
+        for module_name, attr, _span in layers.WRAPPED:
+            if "." in attr:
+                cls, meth = attr.split(".")
+                held[module_name, attr] = vars(getattr(sys.modules[module_name], cls))[meth]
+        return held
+
+    before = bindings()
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        report = harness.converge(workloads.ladder_config("ladder-plain", 0, tiny=True))
+        scheme.volume_potential(
+            SplineParams(2), circle(1.0), lambda a: np.ones(len(a)), np.zeros((2, 2)), 8
+        )
+    finally:
+        tracer.restore()
+    assert all(rung.ok for rung in report.rungs)
+    for key in ("lpr.interior.anchors", "lpr.boundary.nominal",
+                "scheme.eval_approximant.entries", "scheme.volume_potential.points"):
+        assert tracer.counters[key] > 0, key
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
+
+
 def test_dirichlet_holds_one_sided_trace():
     # the benchmark's wrapper test checks that the import in dirichlet is wrapped
     from surfspline import dirichlet, layerpot

@@ -419,9 +419,10 @@ def test_ray_exit_batch_equals_single_origins(spec, tol, monkeypatch):
     theta = 2 * np.pi * np.arange(96) / 96
     origins = _origins_at_depths(curve)
     for t in (1e-14, tol):
-        batch = curve.ray_exit(origins, theta, t)
+        monkeypatch.setattr(geometry, "_RAY_TOL", t)
+        batch = curve.ray_exit(origins, theta)
         assert batch.shape == (len(origins), theta.size)
-        single = [curve.ray_exit(o[None], theta, t)[0] for o in origins]
+        single = [curve.ray_exit(o[None], theta)[0] for o in origins]
         assert single[0].shape == theta.shape
         np.testing.assert_array_equal(batch, np.stack(single))
     # every exit point lies on the curve
@@ -431,14 +432,14 @@ def test_ray_exit_batch_equals_single_origins(spec, tol, monkeypatch):
         curve.polar_radius(np.arctan2(q[..., 1], q[..., 0])),
         atol=1e-13,
     )
-    # the batch above really mixes early stops with full runs
+    # the batch above, at _RAY_TOL = tol, really mixes early stops with full runs
     calls = []
     polar_radius = curve.polar_radius
     monkeypatch.setattr(curve, "polar_radius", lambda psi: calls.append(0) or polar_radius(psi))
     steps = set()
     for o in origins:
         calls.clear()
-        curve.ray_exit(o[None], theta, tol)
+        curve.ray_exit(o[None], theta)
         steps.add(len(calls))
     assert len(steps) > 1
 

@@ -68,7 +68,7 @@ def test_phi_from_r2_matches_profile(m, rng):
     r = rng.uniform(0.2, 2.0, size=50)
     r = r[np.abs(r - 1.0) > 0.05]  # near r = 1 the log vanishes and rtol means nothing
     # phi's profile has a log piece only
-    reg, logc = phi_profile(params).eval_split(r)
+    reg, logc = phi_profile(params).eval_split(r, {2 * m - 2: r ** (2 * m - 2)})
     assert reg is None
     np.testing.assert_allclose(phi_from_r2(params, r * r), logc * np.log(r), rtol=1e-13)
     assert phi_from_r2(params, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
@@ -97,8 +97,12 @@ def test_phi_from_r2_matches_profile(m, rng):
     [(0, 10, None), (5, 10, None), (80, 2560, None), (300, 147, 1000),
      (300, 147, 56 * 147), (51_040, 221, None), (9, 16384, None)],
 )
-def test_tiles_cover_rows_in_steps_of_eight(n_rows, n_sources, entries):
-    bounds = list(tiles(n_rows, n_sources, entries))
+def test_tiles_cover_rows_in_steps_of_eight(n_rows, n_sources, entries, monkeypatch):
+    from surfspline import kernel
+
+    if entries is not None:
+        monkeypatch.setattr(kernel, "TILE_ENTRIES", entries)
+    bounds = list(tiles(n_rows, n_sources))
     budget = TILE_ENTRIES if entries is None else entries
     step = max(8, budget // n_sources // 8 * 8)
     assert [lo for lo, _ in bounds] == list(range(0, step * len(bounds), step))

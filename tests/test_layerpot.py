@@ -101,12 +101,13 @@ def test_layer_potential_zero_density(params2, grid256, rng):
     )
 
 
-def test_layer_potential_near_boundary_warning(params2, disk):
+def test_layer_potential_near_boundary_warning(params2, disk, monkeypatch):
+    from surfspline import layerpot
+
+    monkeypatch.setattr(layerpot, "_MAX_NODES", 64)
     grid = BoundaryGrid.build(disk, 32)
     with pytest.warns(NearBoundaryAccuracyWarning):
-        layer_potential(
-            params2, 0, grid, np.ones(32), [[1.0 - 1e-6, 0.0]], max_nodes=64
-        )
+        layer_potential(params2, 0, grid, np.ones(32), [[1.0 - 1e-6, 0.0]])
 
 
 def test_layer_potential_independent_of_tiles(params2, disk, monkeypatch):

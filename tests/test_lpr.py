@@ -99,13 +99,12 @@ def test_norming_failure_on_tiny_max_radius(centers05):
         )
 
 
-def test_growth_span_limits_conditioning_growth(centers05):
+def test_growth_span_limits_conditioning_growth(centers05, monkeypatch):
     # an impossible conditioning cap must not inflate the support forever:
     # once the span is exhausted the lightest exact candidate is returned
+    monkeypatch.setattr(lpr, "COND_CAP_DEFAULT", 1.0)
     anchor = np.array([0.1, 0.2])
-    A, _, radii = interior_reproduction_matrix(
-        anchor[None], centers05.points, 0.05, 4, cond_cap=1.0
-    )
+    A, _, radii = interior_reproduction_matrix(anchor[None], centers05.points, 0.05, 4)
     nominal = 0.25 * 16 * 0.05
     assert radii[0] <= GROWTH_SPAN_DEFAULT * nominal * 1.25 + 1e-12
     # the returned weights still satisfy the reproduction constraints
@@ -232,7 +231,7 @@ def test_batched_interior_matches_loop(disk, centers10):
     )
 
 
-def test_batched_ill_conditioned_path_matches_loop(centers05, rng):
+def test_batched_ill_conditioned_path_matches_loop(centers05, rng, monkeypatch):
     # cond_cap = 1 makes every exact candidate ill-conditioned, so each row
     # is the lightest candidate within the growth span.  The anchors sit
     # where every growth step adds centers: on an unchanged support two
@@ -240,7 +239,8 @@ def test_batched_ill_conditioned_path_matches_loop(centers05, rng):
     # then be decided by rounding
     anchors = rng.uniform(-0.15, 0.15, size=(12, 2))
     X = centers05.points
-    out = interior_reproduction_matrix(anchors, X, 0.05, 4, cond_cap=1.0)
+    monkeypatch.setattr(lpr, "COND_CAP_DEFAULT", 1.0)
+    out = interior_reproduction_matrix(anchors, X, 0.05, 4)
     nominal = GAMMA_DEFAULT * 16 * 0.05
     assert np.any(out[2] > nominal)
     _assert_matches_loop(
@@ -249,7 +249,7 @@ def test_batched_ill_conditioned_path_matches_loop(centers05, rng):
     )
 
 
-def test_batched_ill_conditioned_ties_keep_first_radius(disk, centers10):
+def test_batched_ill_conditioned_ties_keep_first_radius(disk, centers10, monkeypatch):
     # at cond_cap = 1 every anchor grows to the end of its span, and where a
     # ball of radius 1.22 already holds every center of the unit disk, the
     # step to 1.53 sees the same support and the same weights: the first
@@ -257,7 +257,8 @@ def test_batched_ill_conditioned_ties_keep_first_radius(disk, centers10):
     nodes = interior_quadrature(disk, 20).nodes
     anchors = nodes[np.random.default_rng(0).choice(len(nodes), 300, replace=False)]
     X = centers10.points
-    out = interior_reproduction_matrix(anchors, X, 0.1, 4, cond_cap=1.0)
+    monkeypatch.setattr(lpr, "COND_CAP_DEFAULT", 1.0)
+    out = interior_reproduction_matrix(anchors, X, 0.1, 4)
     assert np.count_nonzero(out[2] > 1.2) > 50
     _assert_matches_loop(
         out, _loop_matrix(0, anchors, [None] * len(anchors), X, 0.1, 4,

@@ -253,7 +253,9 @@ def test_approximant_csv_roundtrip(disk, assembly, tmp_path):
     np.testing.assert_array_equal(centers[:, 2], apx.coefficients)
 
 
-def test_eval_approximant_chunked_consistent(disk, assembly, rng):
+def test_eval_approximant_chunked_consistent(disk, assembly, rng, monkeypatch):
+    from surfspline import kernel
+
     centers, grids = assembly
     apx = assemble_TXi(named_target("gauss", 2), centers, grids)
     pts = rng.uniform(-0.6, 0.6, size=(300, 2))
@@ -261,7 +263,8 @@ def test_eval_approximant_chunked_consistent(disk, assembly, rng):
     # budgets of 8 and 56 rows a tile: neither step divides the 300 points
     for budget in (1000, 56 * len(centers)):
         assert 300 % max(8, budget // len(centers) // 8 * 8)
-        np.testing.assert_array_equal(eval_approximant(apx, pts, chunk_entries=budget), full)
+        monkeypatch.setattr(kernel, "TILE_ENTRIES", budget)
+        np.testing.assert_array_equal(eval_approximant(apx, pts), full)
 
 
 def _fresh_phi_from_r2(params, r2):
@@ -280,18 +283,20 @@ def _fresh_phi_from_r2(params, r2):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("budget", [None, 1 << 10, 1 << 20])
-def test_phi_tiles_in_reused_buffers_match_fresh_blocks(m, budget):
+def test_phi_tiles_in_reused_buffers_match_fresh_blocks(m, budget, monkeypatch):
     # a probe on a center sits in a middle tile: only its r^2 = 0 entry is
     # masked to the limit 0, and every tile, the ones after it included,
     # holds exactly the values fresh arrays give
-    from surfspline import scheme
+    from surfspline import kernel, scheme
     from surfspline.kernel import tiles
 
+    if budget is not None:
+        monkeypatch.setattr(kernel, "TILE_ENTRIES", budget)
     params = SplineParams(m=m)
     rng = np.random.default_rng(m)
     centers = rng.uniform(-1.0, 1.0, size=(300, 2))
     pts = rng.uniform(-1.0, 1.0, size=(500, 2))
-    bounds = list(tiles(len(pts), len(centers), budget))
+    bounds = list(tiles(len(pts), len(centers)))
     lo, hi = bounds[len(bounds) // 2]
     probe = (lo + hi) // 2
     pts[probe] = centers[17]
@@ -313,7 +318,7 @@ def test_phi_tiles_in_reused_buffers_match_fresh_blocks(m, budget):
             assert zero.tolist() == [17]
             assert np.count_nonzero(block == 0.0) == 1
     assert len(bounds) > 2 or budget == 1 << 20
-    np.testing.assert_array_equal(eval_approximant(apx, pts, chunk_entries=budget), expected)
+    np.testing.assert_array_equal(eval_approximant(apx, pts), expected)
 
 
 def _gram_eval(apx, points, chunk_entries=30_000_000):
@@ -445,8 +450,11 @@ def test_extension_matches_target_inside(gauss_extension, rng):
     assert np.max(np.abs(vals - f(pts))) < 1e-7
 
 
-def test_extension_continuity_across_boundary(gauss_extension):
-    assert extension_continuity(gauss_extension, n_probes=8) < 1e-4
+def test_extension_continuity_across_boundary(gauss_extension, monkeypatch):
+    from surfspline import scheme
+
+    monkeypatch.setattr(scheme, "_CONTINUITY_PROBES", 8)
+    assert extension_continuity(gauss_extension) < 1e-4
 
 
 @pytest.mark.parametrize("name", ["gauss", "wave", "quartic"])
@@ -531,9 +539,12 @@ def test_annihilation_check_small(disk):
 # ---------------------------------------------------------------------------
 
 
-def test_error_kernel_norms_structure(disk, params2):
+def test_error_kernel_norms_structure(disk, params2, monkeypatch):
+    from surfspline import scheme
+
+    monkeypatch.setattr(scheme, "_KERNEL_PROBE_GRID", 24)
     cs = generate_centers(disk, 0.2, seed=0)
-    out = error_kernel_norms(params2, disk, cs, probe_grid=24)
+    out = error_kernel_norms(params2, disk, cs)
     assert set(out) == {"interior", "boundary"}
     assert set(out["boundary"]) == {0, 1}
     assert 0 < out["interior"] < 1.0
@@ -557,7 +568,6 @@ def _whole_block_error_kernel_norms(params, curve, centers):
     from surfspline.kernel import boundary_kernel
     from surfspline.lpr import (
         GAMMA_BOUNDARY_DEFAULT,
-        GAMMA_DEFAULT,
         boundary_reproduction_matrix,
         interior_reproduction_matrix,
     )
@@ -571,9 +581,7 @@ def _whole_block_error_kernel_norms(params, curve, centers):
         [probe_points(curve, 48, 0.02)] + [bg.points - t * bg.normals for t in depths]
     )
     quad = interior_quadrature(curve, max(16, int(np.ceil(curve.diameter() / h))))
-    A, _, _ = interior_reproduction_matrix(
-        quad.nodes, X, h, M, gamma=GAMMA_DEFAULT, max_radius=max_radius
-    )
+    A, _, _ = interior_reproduction_matrix(quad.nodes, X, h, M, max_radius=max_radius)
     phi_Xp = scheme._phi_matrix(params, X, probes)
     exact = scheme._phi_matrix(params, quad.nodes, probes) - A @ phi_Xp
     out = {"interior": float(np.max(quad.weights @ np.abs(exact))), "boundary": {}}
@@ -616,6 +624,29 @@ def test_error_kernel_norms_match_whole_blocks_in_tile_sized_blocks(disk, params
     assert sum(rows == len(cs.points) for rows, _ in blocks) > 2
     for rows, sources in blocks:
         assert rows * sources <= 2 * max(kernel.TILE_ENTRIES, 8 * sources)
+
+
+def test_assembly_and_error_kernels_share_the_reproduction_rule(disk, params2, monkeypatch):
+    # on an oversampled set both build the boundary reproductions at the
+    # boundary spacing h^nu with the interior prefactor, as the scheme uses them
+    from surfspline import scheme
+    from surfspline.geometry import oversample_boundary
+    from surfspline.lpr import GAMMA_DEFAULT
+
+    cs = oversample_boundary(disk, generate_centers(disk, 0.2), 0.2, 2, 2)
+    seen = []
+    real = scheme.boundary_reproduction_matrix
+
+    def recording(j, anchors, normals, centers, h_local, M, **kwargs):
+        seen.append((h_local, kwargs["gamma"]))
+        return real(j, anchors, normals, centers, h_local, M, **kwargs)
+
+    monkeypatch.setattr(scheme, "boundary_reproduction_matrix", recording)
+    assemble_TXi(named_target("wave", 2), cs, scheme_grids(disk, 0.2, nu=2.0, n_solver=64))
+    from_assembly = set(seen)
+    seen.clear()
+    error_kernel_norms(params2, disk, cs)
+    assert set(seen) == from_assembly == {(cs.boundary_spacing, GAMMA_DEFAULT)}
 
 
 def test_boundary_support_is_local(disk):
