@@ -131,10 +131,9 @@ class DirichletSolution:
         """u = p + sum_j V_j g_j at interior (or exterior) points."""
         pts = np.asarray(points, dtype=float)
         out = self.poly_eval(pts)
-        for j in range(self.params.m):
-            out = out + layer_potential(
-                self.params, j, self.grid, self.densities[j], pts
-            )
+        orders = range(self.params.m)
+        for row in layer_potential(self.params, orders, self.grid, self.densities, pts):
+            out = out + row
         return out
 
     def boundary_trace(self, k: int, side: str = "inside"):

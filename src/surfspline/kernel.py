@@ -207,16 +207,11 @@ class RadialTerms:
     def value_at_zero_limit(self) -> tuple[float, float]:
         """Diagonal limit ``(reg0, logc0)`` keeping only the r^0 terms.
 
-        Valid when no term has negative power (checked by the caller for the
-        weakly singular boundary pairs).
+        Valid when no term has negative power, which the caller checks.
         """
         reg0 = 0.0
         logc0 = 0.0
         for c, p, e in self.terms:
-            if p < 0:
-                raise DomainValidityError(
-                    "radial profile has a negative power; no finite diagonal limit"
-                )
             if p == 0:
                 if e:
                     logc0 += c
@@ -456,38 +451,31 @@ def pair_kernel(geom: PairGeometry, k: int, j: int) -> tuple[np.ndarray, np.ndar
     return reg, logc
 
 
+#: least profile power of each factor group with a finite diagonal limit:
+#: the single direction cosines vanish linearly at the diagonal
+_DIAG_MIN_POWER = {"1": 0, "ndot": 0, "uv": 0, "u": 1, "v": 1}
+
+
 def _pair_diag(params: SplineParams, k: int, j: int) -> tuple[float, float]:
     """Coincidence limit ``(reg0, logc0)`` of the smooth kernel factors.
 
     Only the r^0 terms of the pure-radial and normal-dot groups survive: the
     single direction cosines vanish linearly and their product quadratically
-    at the diagonal, while all profile powers are nonnegative in the weakly
-    singular range ``k + j <= 2m - 2`` (asserted here).
+    at the diagonal, while every group's profile powers reach
+    :data:`_DIAG_MIN_POWER` in the weakly singular range ``k + j <= 2m - 2``
+    (asserted here).
     """
     reg0 = 0.0
     logc0 = 0.0
     for tag, prof in _pair_groups(params, k, j):
         if prof.is_zero:
             continue
-        mp = prof.min_power()
+        if prof.min_power() < _DIAG_MIN_POWER[tag]:
+            raise DomainValidityError(f"pair ({k},{j}) is too singular for a diagonal limit")
         if tag in ("1", "ndot"):
-            if mp < 0:
-                raise DomainValidityError(
-                    f"pair ({k},{j}) is too singular for a diagonal limit"
-                )
             a, b = prof.value_at_zero_limit()
             reg0 += a
             logc0 += b
-        elif tag in ("u", "v"):
-            if mp < 1:
-                raise DomainValidityError(
-                    f"pair ({k},{j}) is too singular for a diagonal limit"
-                )
-        else:  # uv
-            if mp < 0:
-                raise DomainValidityError(
-                    f"pair ({k},{j}) is too singular for a diagonal limit"
-                )
     return reg0, logc0
 
 

@@ -15,7 +15,11 @@ kernel (see :mod:`surfspline.kernel`).  Three numerical tasks live here:
 
 * Off-boundary evaluation of the potentials with automatic trigonometric
   upsampling of the density, which keeps the periodic-trapezoid error under
-  control at targets a few grid spacings from the boundary.
+  control at targets a few grid spacings from the boundary.  One call
+  ``layer_potential(params, slots, grid, densities, points)`` takes stacked
+  densities, row s charging the potential of order ``slots[s]`` (the
+  convention of the trace maps), and returns one row per slot; every slot
+  shares the call's distances, upsampled grids and tile geometries.
 
 * One-sided boundary traces of op_k applied to a combination of potentials,
   computed by evaluating along a geometric offset ladder and extrapolating
@@ -153,34 +157,49 @@ def _needed_factor(n: int, dist_param: np.ndarray):
     return factors.astype(int)
 
 
-def _potential_sum(params, j, grid, density, x_pts):
-    """V_j density at x_pts by the grid's trapezoid rule.
+def _check_densities(densities, slots, n: int) -> np.ndarray:
+    densities = np.atleast_2d(np.asarray(densities, dtype=float))
+    if densities.shape != (len(slots), n):
+        raise ValueError("densities must have shape (len(slots), n)")
+    return densities
+
+
+def _potential_sum(params, slots, grid, densities, x_pts):
+    """Row s: V_slots[s] densities[s] at x_pts by the grid's trapezoid rule.
 
     The targets are cut into :func:`~surfspline.kernel.tiles` against the
-    grid's nodes, and a target's value does not depend on the tiling.
+    grid's nodes, with one pair geometry per tile shared by every slot, and
+    a target's value does not depend on the tiling.
     """
-    charge = grid.weights * density
-    plan = PairPlan(params, [(0, j)])
-    out = np.empty(x_pts.shape[0])
+    charges = grid.weights * densities
+    plan = PairPlan(params, [(0, j) for j in slots])
+    out = np.empty((len(slots), x_pts.shape[0]))
     for lo, hi in tiles(x_pts.shape[0], grid.n):
         geom = PairGeometry(
             plan, x_pts[lo:hi, None, :], grid.points[None, :, :],
             n_alpha=grid.normals[None, :, :],
         )
-        out[lo:hi] = geom.value(*pair_kernel(geom, 0, j)) @ charge
+        for s, j in enumerate(slots):
+            out[s, lo:hi] = geom.value(*pair_kernel(geom, 0, j)) @ charges[s]
     return out
 
 
 def layer_potential(
-    params: SplineParams, j: int, grid: BoundaryGrid, density: np.ndarray, points
+    params: SplineParams, slots, grid: BoundaryGrid, densities, points
 ) -> np.ndarray:
-    """Evaluate V_j density at off-boundary points, an ``(n, 2)`` array.
+    """Potentials V_slots[s] densities[s] at off-boundary points, one row per slot.
 
-    The density is trigonometrically upsampled per point group until the
-    quadrature resolves the distance to the boundary, onto at most
-    :data:`_MAX_NODES` nodes (read at call time); points closer than the
-    finest resolvable distance trigger :class:`NearBoundaryAccuracyWarning`.
+    Row s of ``densities`` charges the potential of order ``slots[s]``, as
+    in :class:`TraceMaps`; ``points`` is an ``(n, 2)`` array.  The distances
+    to the boundary are measured once, and the densities are
+    trigonometrically upsampled together per point group until the
+    quadrature resolves that distance, onto at most :data:`_MAX_NODES` nodes
+    (read at call time); points closer than the finest resolvable distance
+    trigger :class:`NearBoundaryAccuracyWarning`.  Each row is the same, bit
+    for bit, as a one-slot call gives.
     """
+    slots = tuple(slots)
+    densities = _check_densities(densities, slots, grid.n)
     pts = np.asarray(points, dtype=float)
     rho = signed_distance(grid.curve, pts)
     speed_max = float(np.max(grid.speed))
@@ -192,12 +211,12 @@ def layer_potential(
             "quadrature resolves; values there may be inaccurate",
             NearBoundaryAccuracyWarning,
         )
-    out = np.empty(pts.shape[0])
+    out = np.empty((len(slots), pts.shape[0]))
     for f in np.unique(factors):
         sel = factors == f
         sub = BoundaryGrid.build(grid.curve, grid.n * int(f)) if f > 1 else grid
-        dens = trig_upsample(density, sub.n) if f > 1 else density
-        out[sel] = _potential_sum(params, j, sub, dens, pts[sel])
+        dens = trig_upsample(densities, sub.n) if f > 1 else densities
+        out[:, sel] = _potential_sum(params, slots, sub, dens, pts[sel])
     return out
 
 
@@ -224,13 +243,6 @@ def _neville_limit(deltas: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np
         est = np.abs(table[0] - prev0)
         prev0 = table[0].copy()
     return table[0], est
-
-
-def _check_densities(densities, slots, n: int) -> np.ndarray:
-    densities = np.atleast_2d(np.asarray(densities, dtype=float))
-    if densities.shape != (len(slots), n):
-        raise ValueError("densities must have shape (len(slots), n)")
-    return densities
 
 
 class TraceMaps:

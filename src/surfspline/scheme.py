@@ -228,27 +228,22 @@ def greens_representation(
     """
     pts = np.asarray(points, dtype=float)
     grid = BoundaryGrid.build(curve, n)
-    traces = [f.trace(j, grid.points, grid.normals) for j in range(2 * params.m)]
+    slots, rows = _full_traces(params.m, grid, f)
     vals = volume_potential(params, curve, f.m_laplacian, pts, level)
-    return vals + _full_trace_sum(params, grid, traces, pts)
+    return vals + sum(layer_potential(params, slots, grid, rows, pts))
 
 
-def _full_trace_sum(
-    params: SplineParams, grid: BoundaryGrid, traces, pts: np.ndarray
-) -> np.ndarray:
-    """``sum_j (-1)^j V_{2m-1-j}[traces[j]]`` at off-boundary points.
+def _full_traces(m: int, grid: BoundaryGrid, f: TargetFunction):
+    """Slots and rows of the full-trace sum ``sum_j (-1)^j V_{2m-1-j}[op_j f]``.
 
-    ``traces[j]`` holds op_j f on the grid, j = 0 .. 2m-1.  Inside the domain
-    this sum is f minus the volume potential of Delta^m f; outside, where f
-    contributes nothing, it is minus that volume potential.
+    Row j is ``(-1)^j op_j f`` on the grid and charges slot 2m-1-j: the sign
+    sits in the row, as V(-g) = -V(g) holds bit for bit.  Inside the domain
+    the sum is f minus the volume potential of Delta^m f; outside, where f
+    contributes nothing, it is minus that volume potential.  Callers add a
+    call's potentials with the builtin ``sum``, row after row from zero.
     """
-    out = np.zeros(pts.shape[0])
-    for j in range(2 * params.m):
-        sign = 1.0 if j % 2 == 0 else -1.0
-        out += sign * layer_potential(
-            params, 2 * params.m - 1 - j, grid, traces[j], pts
-        )
-    return out
+    rows = [(-1.0) ** j * f.trace(j, grid.points, grid.normals) for j in range(2 * m)]
+    return tuple(range(2 * m - 1, -1, -1)), np.stack(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +440,7 @@ class ExtensionField:
         self.f = f
         self.level = max(_EXTENSION_LEVEL_FLOOR, grids.quadrature.level)
         self.nj_rows, self.solution = compute_Nj(params, grids.boundary, f)
-        g = grids.boundary
-        self.traces = np.stack(
-            [f.trace(j, g.points, g.normals) for j in range(2 * params.m)]
-        )
+        self.trace_slots, self.traces = _full_traces(params.m, grids.boundary, f)
 
     def volume_term(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -459,9 +451,9 @@ class ExtensionField:
                 self.params, self.grids.curve, self.f.m_laplacian, pts[inside], self.level
             )
         if not np.all(inside):
-            out[~inside] = -_full_trace_sum(
-                self.params, self.grids.boundary, self.traces, pts[~inside]
-            )
+            out[~inside] = -sum(layer_potential(
+                self.params, self.trace_slots, self.grids.boundary, self.traces, pts[~inside]
+            ))
         return out
 
     def convolution_part(self, points) -> np.ndarray:
@@ -469,8 +461,8 @@ class ExtensionField:
         pts = np.asarray(points, dtype=float)
         out = self.volume_term(pts)
         g = self.grids.boundary
-        for j in range(self.params.m):
-            out += layer_potential(self.params, j, g, self.nj_rows[j], pts)
+        for row in layer_potential(self.params, range(self.params.m), g, self.nj_rows, pts):
+            out += row
         return out
 
     def evaluate(self, points) -> np.ndarray:

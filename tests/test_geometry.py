@@ -9,9 +9,15 @@ from scipy.spatial import cKDTree
 
 from surfspline import geometry
 from surfspline.cli import main
-from surfspline.errors import DensityUnreachableError, ReachViolationError, StarShapeError
+from surfspline.errors import (
+    DensityUnreachableError,
+    ProjectionFailureError,
+    ReachViolationError,
+    StarShapeError,
+)
 from surfspline.geometry import (
     BoundaryGrid,
+    DomainCurve,
     _ball_query,
     _nearest_distance,
     circle,
@@ -45,6 +51,28 @@ def test_signed_distance_ellipse_vs_dense_sweep(ell21, rng):
     sign = np.where(ell21.is_inside(pts), -1.0, 1.0)
     rho = signed_distance(ell21, pts)
     np.testing.assert_allclose(rho, sign * d, atol=1e-6)
+
+
+def test_signed_distance_refuses_a_velocity_that_disagrees_with_the_points():
+    # the unit circle's points with a constant velocity (1, 0): Newton's
+    # stationarity condition has no root near the point's foot, so the
+    # coarse start is restarted from the fine sweep and still fails
+    sizes = []
+
+    def point(t):
+        sizes.append(t.size)
+        return np.cos(t), np.sin(t)
+
+    curve = DomainCurve(
+        "circle with a wrong velocity",
+        point,
+        lambda t: (np.ones_like(t), np.zeros_like(t)),
+        lambda t: (np.zeros_like(t), np.zeros_like(t)),
+        lambda psi: np.ones_like(psi),
+    )
+    with pytest.raises(ProjectionFailureError):
+        signed_distance(curve, np.array([[2.0, 0.5]]))
+    assert 512 in sizes  # the fine sweep ran
 
 
 def test_signed_distance_foot_point(ell21, rng):

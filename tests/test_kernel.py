@@ -17,6 +17,7 @@ from surfspline.kernel import (
     PairGeometry,
     PairPlan,
     SplineParams,
+    _pair_diag,
     _pair_groups,
     boundary_kernel,
     fs_constant,
@@ -246,6 +247,16 @@ def test_pair_kernel_rejects_too_singular(params2, disk):
     for k, j in [(2, 1), (0, 3)]:
         with pytest.raises(DomainValidityError):
             nystrom_matrix(params2, k, j, grid)
+
+
+def test_pair_diag_refuses_pairs_beyond_the_weakly_singular_range(params2):
+    # nystrom_matrix refuses these before its diagonal limit; the limit
+    # refuses them on its own, whichever factor group is too singular
+    for k, j in [(0, 2), (1, 1), (2, 0)]:  # k + j = 2m - 2 has a finite limit
+        assert np.all(np.isfinite(_pair_diag(params2, k, j)))
+    for k, j in [(0, 3), (2, 1), (1, 2), (1, 3)]:
+        with pytest.raises(DomainValidityError, match=rf"pair \({k},{j}\)"):
+            _pair_diag(params2, k, j)
 
 
 def test_pair_geometry_names_missing_normals(params2):

@@ -69,7 +69,7 @@ def test_trig_upsample_rejects_downsampling():
 def test_single_layer_unit_density_at_center(params2, grid256):
     # all boundary points sit at distance 1 from the origin, where the radial
     # profile r^2 log r vanishes
-    val = layer_potential(params2, 0, grid256, np.ones(grid256.n), np.zeros((1, 2)))[0]
+    val = layer_potential(params2, (0,), grid256, np.ones(grid256.n), np.zeros((1, 2)))[0][0]
     assert abs(val) < 1e-13
 
 
@@ -90,14 +90,14 @@ def test_layer_potential_vs_adaptive_quadrature(params2, grid256):
             part, err = scipy.integrate.quad(integrand, a, b, epsabs=1e-13, limit=200)
             oracle += part
         t = grid256.t
-        val = layer_potential(params2, j, grid256, np.cos(3 * t) + 0.5, x[None])[0]
+        val = layer_potential(params2, (j,), grid256, np.cos(3 * t) + 0.5, x[None])[0][0]
         assert val == pytest.approx(oracle, abs=1e-10)
 
 
 def test_layer_potential_zero_density(params2, grid256, rng):
     pts = rng.uniform(-0.5, 0.5, size=(5, 2))
     np.testing.assert_array_equal(
-        layer_potential(params2, 2, grid256, np.zeros(grid256.n), pts), np.zeros(5)
+        layer_potential(params2, (2,), grid256, np.zeros(grid256.n), pts)[0], np.zeros(5)
     )
 
 
@@ -107,7 +107,7 @@ def test_layer_potential_near_boundary_warning(params2, disk, monkeypatch):
     monkeypatch.setattr(layerpot, "_MAX_NODES", 64)
     grid = BoundaryGrid.build(disk, 32)
     with pytest.warns(NearBoundaryAccuracyWarning):
-        layer_potential(params2, 0, grid, np.ones(32), [[1.0 - 1e-6, 0.0]])
+        layer_potential(params2, (0,), grid, np.ones(32), [[1.0 - 1e-6, 0.0]])
 
 
 def test_layer_potential_independent_of_tiles(params2, disk, monkeypatch):
@@ -120,12 +120,37 @@ def test_layer_potential_independent_of_tiles(params2, disk, monkeypatch):
     pts = 0.994 * np.stack([np.cos(t), np.sin(t)], axis=-1)
     density = np.cos(3 * grid.t) + 0.5
     for j in (0, 1):
-        tiled = layer_potential(params2, j, grid, density, pts)
+        tiled = layer_potential(params2, (j,), grid, density, pts)[0]
         with monkeypatch.context() as mp:
             mp.setattr(kernel, "TILE_ENTRIES", 2**24)
             np.testing.assert_array_equal(
-                layer_potential(params2, j, grid, density, pts), tiled
+                layer_potential(params2, (j,), grid, density, pts)[0], tiled
             )
+
+
+def test_layer_potential_rows_equal_one_slot_calls(params2, disk, rng, monkeypatch):
+    # points far from and close to the rim fall in two upsampling groups of
+    # two tiles each; every row of a stacked call, odd and even orders
+    # alike, has the bits of its one-slot call
+    from surfspline import kernel, layerpot
+
+    monkeypatch.setattr(kernel, "TILE_ENTRIES", 512)
+    grid = BoundaryGrid.build(disk, 64)
+    t = rng.uniform(0.0, 2 * np.pi, 40)
+    radii = np.where(np.arange(40) % 2, 0.5, 0.995)
+    pts = radii[:, None] * np.stack([np.cos(t), np.sin(t)], axis=-1)
+    factors = layerpot._needed_factor(grid.n, 1.0 - radii)
+    groups = np.unique(factors)
+    assert len(groups) == 2
+    assert all(len(list(kernel.tiles(20, grid.n * f))) == 2 for f in groups)
+    slots = (3, 0, 2, 1)
+    densities = rng.standard_normal((len(slots), grid.n))
+    stacked = layer_potential(params2, slots, grid, densities, pts)
+    assert stacked.shape == (len(slots), len(pts))
+    for s, j in enumerate(slots):
+        np.testing.assert_array_equal(
+            stacked[s], layer_potential(params2, (j,), grid, densities[s], pts)[0]
+        )
 
 
 def test_layer_potential_discrete_bilaplacian_vanishes(params2, grid256):
@@ -139,7 +164,7 @@ def test_layer_potential_discrete_bilaplacian_vanishes(params2, grid256):
         for dx2, dy2, c2 in stencil:
             pts.append(x + s * np.array([dx + dx2, dy + dy2]))
             coef.append(c * c2)
-    vals = layer_potential(params2, 1, grid256, density, np.asarray(pts))
+    vals = layer_potential(params2, (1,), grid256, density, np.asarray(pts))[0]
     bilap = float(np.dot(coef, vals)) / s**4
     assert abs(bilap) < 1e-3
 

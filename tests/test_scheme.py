@@ -488,6 +488,60 @@ def test_extension_continuity_evaluates_each_side_once_bitwise(disk, name, monke
     assert gap == float(np.max(np.abs(limits[0] - limits[1])))
 
 
+def test_one_layer_potential_call_per_point_set(gauss_extension, disk, params2, monkeypatch):
+    # one ExtensionField evaluation makes at most two layer-potential calls
+    # and three distance passes (its inside test and one per call); a call
+    # builds each upsampled grid once and one pair geometry per tile, shared
+    # by every order.  A Dirichlet evaluation and a Green's representation
+    # make one call each
+    from surfspline import dirichlet, geometry, layerpot, scheme
+
+    calls, distances, builds, geometry_rows = [], [], [], []
+    layer_potential, signed_distance = layerpot.layer_potential, geometry.signed_distance
+    build = geometry.BoundaryGrid.build.__func__
+
+    def counting_distance(curve, points):
+        distances.append(len(points))
+        return signed_distance(curve, points)
+
+    def recording_layer_potential(params, slots, grid, densities, points):
+        calls.append(len(points))
+        builds.append([])
+        return layer_potential(params, slots, grid, densities, points)
+
+    def recording_build(cls, curve, n):
+        if builds:
+            builds[-1].append(n)
+        return build(cls, curve, n)
+
+    class RecordingGeometry(layerpot.PairGeometry):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            geometry_rows.append(self.r.shape[0])
+
+    for module in (scheme, dirichlet):
+        monkeypatch.setattr(module, "layer_potential", recording_layer_potential)
+    for module in (scheme, layerpot):
+        monkeypatch.setattr(module, "signed_distance", counting_distance)
+    monkeypatch.setattr(geometry.BoundaryGrid, "build", classmethod(recording_build))
+    monkeypatch.setattr(layerpot, "PairGeometry", RecordingGeometry)
+    t = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
+    radii = np.repeat([0.3, 0.99, 1.01, 2.5], 10)
+    pts = radii[:, None] * np.stack([np.cos(t), np.sin(t)], axis=-1)
+    gauss_extension.evaluate(pts)
+    assert calls == [20, 40] and len(distances) <= 3
+    assert all(len(ns) == len(set(ns)) > 0 for ns in builds)
+    assert sum(geometry_rows) == sum(calls)
+
+    for run in (
+        lambda: gauss_extension.solution.evaluate(pts[:20]),
+        lambda: greens_representation(params2, disk, named_target("gauss", 2), 64, 16, pts[:20]),
+    ):
+        calls.clear()
+        run()
+        assert calls == [20]
+
+
 def test_extension_outside_paths_agree(gauss_extension):
     # outside the domain the volume term is evaluated through the boundary
     # identity alone; the interior rule summed against the now smooth
