@@ -83,7 +83,8 @@ def principal_symbol_matrix(m: int) -> np.ndarray:
 def assemble_boundary_system(params: SplineParams, grid: BoundaryGrid) -> np.ndarray:
     """Build the bordered matrix [[0, (W P)^T], [P, L]].
 
-    L stacks the m x m operator blocks op_k V_j; P holds op_k of the
+    L stacks the m x m operator blocks op_k V_j, from one
+    :func:`~surfspline.layerpot.nystrom_matrix` call; P holds op_k of the
     polynomial basis at the nodes; W P carries the quadrature weights so the
     top rows impose the discrete moment conditions sum_j <g_j, op_j q> = 0
     for every basis polynomial q.  Unknowns are ordered (polynomial
@@ -95,17 +96,13 @@ def assemble_boundary_system(params: SplineParams, grid: BoundaryGrid) -> np.nda
     P = np.concatenate(
         [basis.op_values(k, grid.points, grid.normals) for k in range(m)]
     )
-    L = np.empty((m * n, m * n))
-    for k in range(m):
-        for j in range(m):
-            L[k * n : (k + 1) * n, j * n : (j + 1) * n] = nystrom_matrix(
-                params, k, j, grid
-            )
     WP = P * np.tile(grid.weights, m)[:, None]
     A = np.zeros((N + m * n, N + m * n))
     A[:N, N:] = WP.T
     A[N:, :N] = P
-    A[N:, N:] = L
+    orders = [(k, j) for k in range(m) for j in range(m)]
+    for (k, j), block in zip(orders, nystrom_matrix(params, orders, grid)):
+        A[N + k * n : N + (k + 1) * n, N + j * n : N + (j + 1) * n] = block
     return A
 
 

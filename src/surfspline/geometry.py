@@ -30,6 +30,7 @@ from .errors import (
     ReachViolationError,
     StarShapeError,
 )
+from .kernel import tiles
 
 __all__ = [
     "DomainCurve",
@@ -339,16 +340,24 @@ def signed_distance(curve: DomainCurve, points, return_foot: bool = False):
 
     Newton iteration on the stationarity condition of the squared distance,
     started from a coarse parameter sweep (and restarted from a finer sweep
-    for any stragglers).  The sign comes from the outward normal at the foot
+    for any stragglers); each sweep runs over :func:`~surfspline.kernel.tiles`
+    of the points against its nodes, so its start parameters do not depend
+    on the tiling.  The sign comes from the outward normal at the foot
     point.  ``points`` is an ``(n, 2)`` array; the distances, and with
     ``return_foot`` the foot parameters, are ``(n,)`` arrays.
     """
     pts = np.asarray(points, dtype=float)
-    n_coarse = 64
-    tc = 2 * np.pi * np.arange(n_coarse) / n_coarse
-    gc = curve.point(tc)
-    d2 = (pts[:, None, 0] - gc[None, :, 0]) ** 2 + (pts[:, None, 1] - gc[None, :, 1]) ** 2
-    t = tc[np.argmin(d2, axis=1)]
+
+    def sweep(pts, n_nodes):
+        # the parameter of the nearest of n_nodes equispaced nodes, per point
+        tn = 2 * np.pi * np.arange(n_nodes) / n_nodes
+        gn = curve.point(tn)
+        start = np.empty(pts.shape[0])
+        for lo, hi in tiles(pts.shape[0], n_nodes):
+            p = pts[lo:hi]
+            d2 = (p[:, None, 0] - gn[None, :, 0]) ** 2 + (p[:, None, 1] - gn[None, :, 1]) ** 2
+            start[lo:hi] = tn[np.argmin(d2, axis=1)]
+        return start
 
     def newton(t, pts, iters):
         for _ in range(iters):
@@ -364,7 +373,7 @@ def signed_distance(curve: DomainCurve, points, return_foot: bool = False):
             t = t - step
         return t
 
-    t = newton(t, pts, 12)
+    t = newton(sweep(pts, 64), pts, 12)
     g = curve.point(t)
     v = curve.velocity(t)
     resid = np.abs((pts[:, 0] - g[..., 0]) * v[..., 0] + (pts[:, 1] - g[..., 1]) * v[..., 1])
@@ -372,13 +381,8 @@ def signed_distance(curve: DomainCurve, points, return_foot: bool = False):
     bad = resid > 1e-9 * scale
     if np.any(bad):
         # restart stragglers from a fine sweep
-        nf = 512
-        tf = 2 * np.pi * np.arange(nf) / nf
-        gf = curve.point(tf)
         sub = pts[bad]
-        d2 = (sub[:, None, 0] - gf[None, :, 0]) ** 2 + (sub[:, None, 1] - gf[None, :, 1]) ** 2
-        t_bad = newton(tf[np.argmin(d2, axis=1)], sub, 20)
-        t[bad] = t_bad
+        t[bad] = newton(sweep(sub, 512), sub, 20)
         g = curve.point(t)
         v = curve.velocity(t)
         resid = np.abs(

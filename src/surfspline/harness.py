@@ -106,27 +106,18 @@ class ExperimentConfig:
         if not cp.sections():
             raise ValueError(f"{path}: no [experiment] section")
         sec = cp["experiment"] if cp.has_section("experiment") else cp[cp.sections()[0]]
+        readers = dict.fromkeys(("curve", "target", "output"), str.strip)
+        readers.update(dict.fromkeys(("m", "seed", "probe_grid", "n_solver", "quad_level"), int))
+        readers["h_ladder"] = lambda raw: tuple(float(tok) for tok in raw.replace(",", " ").split())
+        readers["norms"] = lambda raw: tuple(raw.replace(",", " ").split())
+        readers["oversample"] = _read_oversample
         kw = {}
-        for key in ("curve", "target", "output"):
+        for key, read in readers.items():
             if key in sec:
-                kw[key] = sec[key].strip()
-        for key in ("m", "seed", "probe_grid", "n_solver", "quad_level"):
-            if key in sec:
-                kw[key] = sec.getint(key)
-        if "h_ladder" in sec:
-            kw["h_ladder"] = tuple(
-                float(tok) for tok in sec["h_ladder"].replace(",", " ").split()
-            )
-        if "norms" in sec:
-            kw["norms"] = tuple(sec["norms"].replace(",", " ").split())
-        if "oversample" in sec:
-            raw = sec["oversample"].strip().lower()
-            if raw in ("", "none"):
-                kw["oversample"] = None
-            elif raw == "critical":
-                kw["oversample"] = "critical"
-            else:
-                kw["oversample"] = float(raw)
+                try:
+                    kw[key] = read(sec[key])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {key} = {sec[key].strip()}: {exc}") from exc
         config = cls(**kw)
         if "inf" in config.norms:
             probe_points(curve_from_spec(config.curve), config.probe_grid, 0.0)
@@ -139,6 +130,13 @@ class ExperimentConfig:
             p = max(math.inf if p == "inf" else float(p) for p in self.norms)
             return oversampling_budget(self.m, p)
         return float(self.oversample)
+
+
+def _read_oversample(raw: str) -> float | str | None:
+    raw = raw.strip().lower()
+    if raw in ("", "none"):
+        return None
+    return "critical" if raw == "critical" else float(raw)
 
 
 @dataclass

@@ -11,7 +11,9 @@ kernel (see :mod:`surfspline.kernel`).  Three numerical tasks live here:
   weakly singular range k + j <= 2m - 2, assembled with the classical
   spectral log-splitting quadrature for periodic kernels: the kernel is
   written as ``smooth1 + smooth2 * log(4 sin^2((t-s)/2))`` and the log factor
-  is integrated with its exact trigonometric weights.
+  is integrated with its exact trigonometric weights.  One call
+  ``nystrom_matrix(params, orders, grid)`` returns a block per (k, j), all
+  from one pair geometry of the node pairs.
 
 * Off-boundary evaluation of the potentials with automatic trigonometric
   upsampling of the density, which keeps the periodic-trapezoid error under
@@ -99,48 +101,43 @@ def trig_upsample(values: np.ndarray, n_new: int) -> np.ndarray:
     return np.fft.irfft(spec, n=n_new, axis=-1) * (n_new / n)
 
 
-def nystrom_matrix(params: SplineParams, k: int, j: int, grid: BoundaryGrid) -> np.ndarray:
-    """Dense Nystrom matrix of the boundary operator op_k V_j on the grid.
+def nystrom_matrix(params: SplineParams, orders, grid: BoundaryGrid) -> list[np.ndarray]:
+    """Dense Nystrom matrices of the boundary operators op_k V_j on the grid,
+    one per (k, j) in the list ``orders``.
 
     Valid in the weakly singular range ``k + j <= 2m - 2``; the kernel's log
     part is integrated with the exact periodic log weights and the remaining
-    smooth part with the plain trapezoid rule, so the matrix applied to
-    smooth densities converges spectrally in the grid size.
+    smooth part with the plain trapezoid rule, so a matrix applied to smooth
+    densities converges spectrally in the grid size.  The orders share one
+    pair geometry and the tables that do not depend on the order; each
+    matrix is bitwise the one a one-order call gives.
     """
-    if k + j > 2 * params.m - 2:
-        raise DomainValidityError(
-            f"nystrom assembly limited to k+j <= 2m-2, got ({k},{j})"
-        )
-    n = grid.n
-    t = grid.t
-    pts = grid.points
-    nrm = grid.normals
-    x = pts[:, None, :]
-    nx = nrm[:, None, :]
-    a = pts[None, :, :]
-    na = nrm[None, :, :]
-    eye = np.eye(n, dtype=bool)
-    # evaluate on the full grid but fix the diagonal afterwards
-    xs = np.where(eye[..., None], x + 1.0, x)  # shift diagonal args off r = 0
-    geom = PairGeometry(PairPlan(params, [(k, j)]), xs, a, nx, na)
-    reg, logc = pair_kernel(geom, k, j)
-    r = geom.r
-    dt = t[:, None] - t[None, :]
-    sin2 = 4.0 * np.sin(0.5 * dt) ** 2
+    for k, j in orders:
+        if k + j > 2 * params.m - 2:
+            raise DomainValidityError(f"nystrom assembly limited to k+j <= 2m-2, got ({k},{j})")
+    n, t, pts, nrm = grid.n, grid.t, grid.points, grid.normals
+    # shift the diagonal's targets off r = 0, and fix the diagonal afterwards
+    xs = np.where(np.eye(n, dtype=bool)[..., None], pts[:, None, :] + 1.0, pts[:, None, :])
+    geom = PairGeometry(
+        PairPlan(params, orders), xs, pts[None, :, :], nrm[:, None, :], nrm[None, :, :]
+    )
+    sin2 = 4.0 * np.sin(0.5 * (t[:, None] - t[None, :])) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        smooth_log = 0.5 * np.log(r**2 / sin2)
-        A_smooth = reg + logc * smooth_log
-    B = 0.5 * logc
-    reg0, logc0 = _pair_diag(params, k, j)
-    A_diag = reg0 + logc0 * np.log(grid.speed)
-    B_diag = np.full(n, 0.5 * logc0)
-    np.fill_diagonal(A_smooth, A_diag)
-    np.fill_diagonal(B, B_diag)
-    R = kress_log_weights(n)
-    lag = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    M = (2 * np.pi / n) * A_smooth + R[lag] * B
-    M *= grid.speed[None, :]
-    return M
+        smooth_log = 0.5 * np.log(geom.r**2 / sin2)
+    R_lag = kress_log_weights(n)[np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])]
+    blocks = []
+    for k, j in orders:
+        reg, logc = pair_kernel(geom, k, j)
+        with np.errstate(invalid="ignore"):
+            A_smooth = reg + logc * smooth_log
+        B = 0.5 * logc
+        reg0, logc0 = _pair_diag(params, k, j)
+        np.fill_diagonal(A_smooth, reg0 + logc0 * np.log(grid.speed))
+        np.fill_diagonal(B, 0.5 * logc0)
+        M = (2 * np.pi / n) * A_smooth + R_lag * B
+        M *= grid.speed[None, :]
+        blocks.append(M)
+    return blocks
 
 
 # ---------------------------------------------------------------------------

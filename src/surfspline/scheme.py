@@ -23,7 +23,7 @@ import numpy as np
 
 from .dirichlet import compute_Nj
 from .errors import StarShapeError
-from .geometry import BoundaryGrid, CenterSet, DomainCurve, signed_distance
+from .geometry import BoundaryGrid, CenterSet, DomainCurve
 from .kernel import SplineParams, boundary_kernel, phi_from_r2, tiles
 from .layerpot import TraceMaps, _neville_limit, layer_potential, trig_upsample
 from .lpr import (
@@ -426,12 +426,15 @@ class ExtensionField:
     """Volume-plus-multilayer field that equals f inside the domain and its
     finite-energy continuation outside.
 
-    Inside, the volume term integrates the kernel against Delta^m f in polar
-    coordinates about the evaluation point.  Outside, it is evaluated through
-    the full-trace boundary identity alone: there the volume potential of
-    Delta^m f equals minus the alternating sum of layer potentials of the 2m
-    traces of f, so only boundary integrals remain, at any distance.  Its
-    radial rule has the grids' ``level``, at least :data:`_EXTENSION_LEVEL_FLOOR`.
+    Points are sorted by the curve's polar inside test, and each side makes
+    one :func:`~surfspline.layerpot.layer_potential` call.  Inside, the
+    volume term integrates the kernel against Delta^m f in polar coordinates
+    about the evaluation point (a radial rule of the grids' ``level``, at
+    least :data:`_EXTENSION_LEVEL_FLOOR`), and the call adds the m layer
+    potentials of the N_j rows.  Outside, the volume potential of Delta^m f
+    equals minus the alternating sum of layer potentials of the 2m traces of
+    f, so only boundary integrals remain, at any distance: the call stacks
+    the negated trace rows over the N_j rows.
     """
 
     def __init__(self, params: SplineParams, grids: SchemeGrids, f: TargetFunction):
@@ -442,27 +445,22 @@ class ExtensionField:
         self.nj_rows, self.solution = compute_Nj(params, grids.boundary, f)
         self.trace_slots, self.traces = _full_traces(params.m, grids.boundary, f)
 
-    def volume_term(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        inside = signed_distance(self.grids.curve, pts) < 0.0
-        out = np.empty(pts.shape[0])
-        if np.any(inside):
-            out[inside] = volume_potential(
-                self.params, self.grids.curve, self.f.m_laplacian, pts[inside], self.level
-            )
-        if not np.all(inside):
-            out[~inside] = -sum(layer_potential(
-                self.params, self.trace_slots, self.grids.boundary, self.traces, pts[~inside]
-            ))
-        return out
-
     def convolution_part(self, points) -> np.ndarray:
         """Field minus polynomial: the part that decays at infinity."""
         pts = np.asarray(points, dtype=float)
-        out = self.volume_term(pts)
-        g = self.grids.boundary
-        for row in layer_potential(self.params, range(self.params.m), g, self.nj_rows, pts):
-            out += row
+        params, curve, g = self.params, self.grids.curve, self.grids.boundary
+        m, inside = params.m, curve.is_inside(pts)
+        out = np.empty(pts.shape[0])
+        if np.any(inside):
+            x = pts[inside]
+            vals = volume_potential(params, curve, self.f.m_laplacian, x, self.level)
+            for row in layer_potential(params, range(m), g, self.nj_rows, x):
+                vals += row
+            out[inside] = vals
+        if not np.all(inside):
+            slots = self.trace_slots + tuple(range(m))
+            rows = np.concatenate([-self.traces, self.nj_rows])
+            out[~inside] = sum(layer_potential(params, slots, g, rows, pts[~inside]))
         return out
 
     def evaluate(self, points) -> np.ndarray:
@@ -611,8 +609,11 @@ def boundary_support_is_local(curve: DomainCurve, h: float, M: int) -> bool:
 
 def probe_points(curve: DomainCurve, grid: int, margin: float) -> np.ndarray:
     """Uniform bounding-box grid clipped to the interior with a safety
-    margin off the boundary (in absolute distance units); raises ValueError
-    when the grid holds no point there."""
+    margin off the boundary; raises ValueError when the grid holds no point
+    there.  The margin is a gap in polar radius, ``|x| < polar_radius -
+    margin``, not a distance: where the ray from the origin meets the
+    boundary obliquely (an ellipse off its axes) the gap exceeds the
+    distance, so a kept point may lie closer to the boundary than margin."""
     R = curve.max_radius()
     s = np.linspace(-R, R, grid)
     xx, yy = np.meshgrid(s, s, indexing="ij")

@@ -249,6 +249,26 @@ def test_converge_config_errors_exit_2_without_output(tmp_path, capsys, line):
     assert not list(tmp_path.glob("runout*"))
 
 
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [("m", "two", "invalid literal for int()"),
+     ("h_ladder", "0.2 0.1 x", "could not convert string to float: 'x'"),
+     ("oversample", "two", "could not convert string to float: 'two'")],
+    ids=["int", "float-list", "oversample"],
+)
+def test_config_value_errors_name_the_file_and_key(tmp_path, capsys, key, value, reason):
+    # a run over several configs must tell which file and key hold the bad value
+    cfg = tmp_path / "exp.cfg"
+    lines = {"h_ladder": "0.3 0.25 0.2", "output": tmp_path / "runout", key: value}
+    cfg.write_text(
+        "[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in lines.items()), encoding="utf-8"
+    )
+    assert main(["converge", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: {key} = {value}: ") and reason in err
+    assert not list(tmp_path.glob("runout*"))
+
+
 def _tiny_config(path, output, seed=0, target="wave", probe_grid=64):
     path.write_text(
         "[experiment]\n"

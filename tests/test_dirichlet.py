@@ -153,6 +153,32 @@ def test_system_shape(grid256, params2):
     assert np.all(A[:n_poly, :n_poly] == 0.0)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_boundary_system_builds_one_pair_geometry(ell21, monkeypatch, m):
+    # the m^2 operator blocks share one geometry of the node pairs, and each
+    # sits in the system with the bits of a one-order Nystrom matrix
+    from surfspline import layerpot
+    from surfspline.kernel import SplineParams
+
+    shapes = []
+
+    class RecordingGeometry(layerpot.PairGeometry):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            shapes.append(self.r.shape)
+
+    params = SplineParams(m)
+    grid = BoundaryGrid.build(ell21, 48)
+    monkeypatch.setattr(layerpot, "PairGeometry", RecordingGeometry)
+    A = assemble_boundary_system(params, grid)
+    assert shapes == [(48, 48)]
+    N, n = PolyBasis.for_spline_order(m).dimension, grid.n
+    for k in range(m):
+        for j in range(m):
+            block = A[N + k * n : N + (k + 1) * n, N + j * n : N + (j + 1) * n]
+            assert np.array_equal(block, layerpot.nystrom_matrix(params, [(k, j)], grid)[0])
+
+
 # ---------------------------------------------------------------------------
 # principal symbols
 # ---------------------------------------------------------------------------

@@ -75,6 +75,34 @@ def test_signed_distance_refuses_a_velocity_that_disagrees_with_the_points():
     assert 512 in sizes  # the fine sweep ran
 
 
+def test_signed_distance_is_the_same_over_any_tiling(monkeypatch):
+    # both sweeps run over tiles of the points; a call of many 8-row tiles
+    # equals the whole-block call bit for bit.  Just outside the star's
+    # concave arc, Newton from the 64-node sweep does not settle, so the
+    # cluster there reaches the 512-node restart, itself several tiles
+    from surfspline import kernel
+
+    curve = star(0.15, 5)
+    s = np.linspace(-0.002, 0.002, 9)
+    cluster = np.stack(np.meshgrid(0.9233 + s, 0.6795 + s), axis=-1).reshape(-1, 2)
+    pts = np.concatenate([np.random.default_rng(5).uniform(-1.5, 1.5, (400, 2)), cluster])
+    sweeps = []
+
+    def recording_tiles(n_rows, n_sources):
+        sweeps.append((n_rows, n_sources))
+        return kernel.tiles(n_rows, n_sources)
+
+    monkeypatch.setattr(geometry, "tiles", recording_tiles)
+    monkeypatch.setattr(kernel, "TILE_ENTRIES", 1 << 40)
+    whole = signed_distance(curve, pts, return_foot=True)
+    assert len(sweeps) == 2 and sweeps[1][0] > 8 and sweeps[1][1] == 512
+    monkeypatch.setattr(kernel, "TILE_ENTRIES", 1)
+    tiled = signed_distance(curve, pts, return_foot=True)
+    assert sweeps[2:] == sweeps[:2]
+    for a, b in zip(whole, tiled):
+        assert np.array_equal(a, b)
+
+
 def test_signed_distance_foot_point(ell21, rng):
     pts = rng.uniform(-1.8, 1.8, size=(25, 2))
     rho, t = signed_distance(ell21, pts, return_foot=True)

@@ -246,7 +246,7 @@ def test_pair_kernel_rejects_too_singular(params2, disk):
     grid = BoundaryGrid.build(disk, 16)
     for k, j in [(2, 1), (0, 3)]:
         with pytest.raises(DomainValidityError):
-            nystrom_matrix(params2, k, j, grid)
+            nystrom_matrix(params2, [(k, j)], grid)[0]
 
 
 def test_pair_diag_refuses_pairs_beyond_the_weakly_singular_range(params2):

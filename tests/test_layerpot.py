@@ -178,7 +178,7 @@ def test_nystrom_circulant_on_circle(params2, disk):
     # rotation invariance makes every boundary operator a convolution there
     grid = BoundaryGrid.build(disk, 64)
     for k, j in ((0, 0), (1, 1), (0, 2)):
-        M = nystrom_matrix(params2, k, j, grid)
+        M = nystrom_matrix(params2, [(k, j)], grid)[0]
         for i in (1, 17, 40):
             np.testing.assert_allclose(M[i], np.roll(M[0], i), atol=1e-12)
 
@@ -189,9 +189,22 @@ def test_nystrom_weighted_transpose_symmetry(params2, ell21):
     grid = BoundaryGrid.build(ell21, 64)
     w = grid.weights
     for k, j in ((0, 1), (0, 2), (1, 1)):
-        A = w[:, None] * nystrom_matrix(params2, k, j, grid)
-        B = w[:, None] * nystrom_matrix(params2, j, k, grid)
+        A = w[:, None] * nystrom_matrix(params2, [(k, j)], grid)[0]
+        B = w[:, None] * nystrom_matrix(params2, [(j, k)], grid)[0]
         np.testing.assert_allclose(A, B.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_nystrom_orders_equal_one_order_calls(ell21, m):
+    # one call over every order of the weakly singular range shares its pair
+    # geometry and tables, and each block keeps the bits of a one-order call
+    params = SplineParams(m)
+    grid = BoundaryGrid.build(ell21, 48)
+    orders = [(k, j) for k in range(2 * m - 1) for j in range(2 * m - 1 - k)]
+    blocks = nystrom_matrix(params, orders, grid)
+    assert len(blocks) == len(orders)
+    for (k, j), block in zip(orders, blocks):
+        assert np.array_equal(block, nystrom_matrix(params, [(k, j)], grid)[0])
 
 
 def test_nystrom_self_convergence(params2, ell21):
@@ -200,8 +213,8 @@ def test_nystrom_self_convergence(params2, ell21):
     g_of = lambda t: np.cos(2 * t) + 0.3 * np.sin(t)
     coarse = BoundaryGrid.build(ell21, 128)
     fine = BoundaryGrid.build(ell21, 256)
-    uc = nystrom_matrix(params2, 0, 0, coarse) @ g_of(coarse.t)
-    uf = nystrom_matrix(params2, 0, 0, fine) @ g_of(fine.t)
+    uc = nystrom_matrix(params2, [(0, 0)], coarse)[0] @ g_of(coarse.t)
+    uf = nystrom_matrix(params2, [(0, 0)], fine)[0] @ g_of(fine.t)
     assert np.max(np.abs(uc - uf[::2])) < 1e-9
 
 
@@ -225,7 +238,7 @@ def test_one_sided_trace_matches_nystrom(params2, disk):
     # the direct singular-quadrature value
     grid = BoundaryGrid.build(disk, 64)
     g = np.cos(grid.t) + 0.2
-    direct = nystrom_matrix(params2, 0, 0, grid) @ g
+    direct = nystrom_matrix(params2, [(0, 0)], grid)[0] @ g
     lim, est = one_sided_trace(params2, g[None, :], grid, 0, "inside", slots=(0,))
     assert np.max(np.abs(lim - direct)) < 1e-6
     assert np.all(est >= 0)

@@ -489,11 +489,11 @@ def test_extension_continuity_evaluates_each_side_once_bitwise(disk, name, monke
 
 
 def test_one_layer_potential_call_per_point_set(gauss_extension, disk, params2, monkeypatch):
-    # one ExtensionField evaluation makes at most two layer-potential calls
-    # and three distance passes (its inside test and one per call); a call
-    # builds each upsampled grid once and one pair geometry per tile, shared
-    # by every order.  A Dirichlet evaluation and a Green's representation
-    # make one call each
+    # one ExtensionField evaluation makes one layer-potential call per side,
+    # so each point's distance is measured once, in its call; a call builds
+    # each upsampled grid once and one pair geometry per tile, shared by
+    # every order.  A Dirichlet evaluation and a Green's representation make
+    # one call each
     from surfspline import dirichlet, geometry, layerpot, scheme
 
     calls, distances, builds, geometry_rows = [], [], [], []
@@ -521,15 +521,14 @@ def test_one_layer_potential_call_per_point_set(gauss_extension, disk, params2, 
 
     for module in (scheme, dirichlet):
         monkeypatch.setattr(module, "layer_potential", recording_layer_potential)
-    for module in (scheme, layerpot):
-        monkeypatch.setattr(module, "signed_distance", counting_distance)
+    monkeypatch.setattr(layerpot, "signed_distance", counting_distance)
     monkeypatch.setattr(geometry.BoundaryGrid, "build", classmethod(recording_build))
     monkeypatch.setattr(layerpot, "PairGeometry", RecordingGeometry)
     t = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
     radii = np.repeat([0.3, 0.99, 1.01, 2.5], 10)
     pts = radii[:, None] * np.stack([np.cos(t), np.sin(t)], axis=-1)
     gauss_extension.evaluate(pts)
-    assert calls == [20, 40] and len(distances) <= 3
+    assert calls == [20, 20] and sum(distances) == 40
     assert all(len(ns) == len(set(ns)) > 0 for ns in builds)
     assert sum(geometry_rows) == sum(calls)
 
@@ -545,8 +544,10 @@ def test_one_layer_potential_call_per_point_set(gauss_extension, disk, params2, 
 def test_extension_outside_paths_agree(gauss_extension):
     # outside the domain the volume term is evaluated through the boundary
     # identity alone; the interior rule summed against the now smooth
-    # kernel is an independent oracle for it, just outside and far away
+    # kernel is an independent oracle for it, just outside and far away.
+    # The volume term is the convolution part less the N_j potentials
     from surfspline.kernel import phi_from_r2
+    from surfspline.layerpot import layer_potential
 
     ext = gauss_extension
     quad = ext.grids.quadrature
@@ -556,13 +557,46 @@ def test_extension_outside_paths_agree(gauss_extension):
     def interior_rule(x):
         return phi_from_r2(ext.params, np.sum((x - quad.nodes) ** 2, axis=1)) @ source
 
+    def volume_term(x):
+        m, g = ext.params.m, ext.grids.boundary
+        rows = layer_potential(ext.params, range(m), g, ext.nj_rows, x[None])
+        return ext.convolution_part(x[None])[0] - sum(rows)[0]
+
     p_near = (1.0 + 0.8 * 0.12) * direction
-    assert ext.volume_term(p_near[None])[0] == pytest.approx(
-        interior_rule(p_near), abs=2e-6
-    )
+    assert volume_term(p_near) == pytest.approx(interior_rule(p_near), abs=2e-6)
     for r in (1.5, 3.0, 10.0):
         x = r * direction
-        assert ext.volume_term(x[None])[0] == pytest.approx(interior_rule(x), rel=1e-11)
+        assert volume_term(x) == pytest.approx(interior_rule(x), rel=1e-11)
+
+
+@pytest.mark.parametrize("on_ellipse", [False, True], ids=["disk", "ellipse"])
+def test_extension_matches_the_two_call_formula(gauss_extension, on_ellipse):
+    # the oracle sorts the points by signed distance, takes the volume term
+    # (the interior rule inside, minus the full-trace potentials outside)
+    # and adds the N_j potentials of every point from a second call; one
+    # call per side agrees with it to rounding, on a ring through both sides
+    from surfspline.geometry import signed_distance
+    from surfspline.layerpot import layer_potential
+    from surfspline.scheme import _full_traces
+
+    ext = gauss_extension
+    if on_ellipse:
+        grids = scheme_grids(ellipse(1.5, 1.0), 0.2, n_solver=128)
+        ext = ExtensionField(SplineParams(2, 2), grids, named_target("gauss", 2))
+    params, curve, g = ext.params, ext.grids.curve, ext.grids.boundary
+    t = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
+    pts = np.concatenate([s * curve.point(t) for s in (0.5, 0.95, 1.05, 2.0)])
+    inside = signed_distance(curve, pts) < 0.0
+    oracle = np.empty(pts.shape[0])
+    oracle[inside] = volume_potential(params, curve, ext.f.m_laplacian, pts[inside], ext.level)
+    slots, traces = _full_traces(params.m, g, ext.f)
+    oracle[~inside] = -sum(layer_potential(params, slots, g, traces, pts[~inside]))
+    for row in layer_potential(params, range(params.m), g, ext.nj_rows, pts):
+        oracle += row
+    oracle += ext.solution.poly_eval(pts)
+    vals = ext.evaluate(pts)
+    assert np.all(inside == curve.is_inside(pts))
+    assert np.max(np.abs(vals - oracle) / np.abs(oracle)) < 1e-13
 
 
 def test_extension_convolution_part_subpolynomial(gauss_extension):
